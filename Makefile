@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet bench ci check fuzz-smoke soak soak-smoke fleet-smoke chaos-smoke ckpt-smoke eval eval-quick examples clean
+.PHONY: all build test test-race vet bench ci check fuzz-smoke soak soak-smoke fleet-smoke chaos-smoke ckpt-smoke eval eval-quick examples loc clean
 
 all: build test
 
@@ -118,6 +118,17 @@ examples:
 	$(GO) run ./examples/customprog
 	$(GO) run ./examples/sampling gcc
 	$(GO) run ./examples/minic
+
+# Non-test Go lines per package, then the total: the size yardstick
+# for simplicity work. It covers the root module only; perfbench is a
+# separate module.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | \
+	while read -r pkg dir files; do \
+		n=0; \
+		if [ -n "$$files" ]; then n=$$(cd "$$dir" && cat $$files | wc -l); fi; \
+		printf '%7d  %s\n' "$$n" "$$pkg"; \
+	done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'
 
 clean:
 	rm -rf results test_output.txt bench_output.txt soak-out fleet-out chaos-out ckpt-out pok-ckpt
