@@ -23,11 +23,8 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"pok/internal/bpred"
-	"pok/internal/cache"
 	"pok/internal/ckpt"
 	"pok/internal/emu"
-	"pok/internal/lsq"
 	"pok/internal/telemetry"
 )
 
@@ -96,19 +93,16 @@ func (s *Sim) quiescent() bool {
 		len(s.memWatch) == 0 && s.lsq.Len() == 0 && len(s.ready) == 0
 }
 
-// schedulerKind/emulatorKind name the run flavor for Meta.
-func (s *Sim) schedulerKind() string {
-	if s.legacy {
-		return "legacy"
+// runKinds names the scheduler and emulator flavors of cfg for Meta.
+func runKinds(cfg *Config) (sched, emu string) {
+	sched, emu = "event", "fast"
+	if cfg.LegacyScheduler {
+		sched = "legacy"
 	}
-	return "event"
-}
-
-func (s *Sim) emulatorKind() string {
-	if s.cfg.LegacyEmulator {
-		return "legacy"
+	if cfg.LegacyEmulator {
+		emu = "legacy"
 	}
-	return "fast"
+	return sched, emu
 }
 
 // coreCkpt is the timing core's own snapshot section: the scalars that
@@ -181,12 +175,13 @@ func (s *Sim) captureSnapshot(full bool) (*ckpt.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	sched, emuKind := runKinds(&s.cfg)
 	snap := &ckpt.Snapshot{
 		Meta: ckpt.Meta{
 			Benchmark: s.ckptBench,
 			Config:    s.cfg.Name,
-			Scheduler: s.schedulerKind(),
-			Emulator:  s.emulatorKind(),
+			Scheduler: sched,
+			Emulator:  emuKind,
 			Insts:     s.res.Insts,
 			Cycles:    s.now,
 		},
@@ -209,13 +204,7 @@ func (s *Sim) captureSnapshot(full bool) (*ckpt.Snapshot, error) {
 		}
 	}
 	if s.collecting {
-		sum := s.tel.Summary()
-		if s.baseTel != nil {
-			m := s.baseTel.Clone()
-			m.Merge(sum)
-			sum = m
-		}
-		b, err := json.Marshal(sum)
+		b, err := json.Marshal(s.telemetrySummary())
 		if err != nil {
 			return nil, fmt.Errorf("core: telemetry snapshot: %w", err)
 		}
@@ -255,17 +244,10 @@ func NewSimFromSnapshot(snap *ckpt.Snapshot, cfg Config, maxInsts uint64) (*Sim,
 		return nil, fmt.Errorf("core: snapshot taken under config %q, resuming with %q",
 			snap.Meta.Config, cfg.Name)
 	}
-	sched := "event"
-	if cfg.LegacyScheduler {
-		sched = "legacy"
-	}
+	sched, emuKind := runKinds(&cfg)
 	if snap.Meta.Scheduler != sched {
 		return nil, fmt.Errorf("core: snapshot taken under %s scheduler, resuming with %s",
 			snap.Meta.Scheduler, sched)
-	}
-	emuKind := "fast"
-	if cfg.LegacyEmulator {
-		emuKind = "legacy"
 	}
 	if snap.Meta.Emulator != emuKind {
 		return nil, fmt.Errorf("core: snapshot taken under %s emulator, resuming with %s",
@@ -286,57 +268,31 @@ func NewSimFromSnapshot(snap *ckpt.Snapshot, cfg Config, maxInsts uint64) (*Sim,
 	if em.Legacy() != cfg.LegacyEmulator {
 		return nil, fmt.Errorf("core: emulator state flavor disagrees with config")
 	}
-	pred := bpred.NewDefault()
-	if cfg.UseBimodal {
-		pred.Dir = bpred.NewBimodal(16)
-	}
-	if cfg.UseLocal {
-		pred.Dir = bpred.NewLocal(12, 14)
-	}
+	s := newSim(cfg, em, maxInsts)
 	if snap.Bpred == nil {
 		return nil, fmt.Errorf("core: snapshot has no branch-predictor state")
 	}
-	if err := pred.Restore(snap.Bpred); err != nil {
+	if err := s.pred.Restore(snap.Bpred); err != nil {
 		return nil, err
 	}
-	var dtlb *cache.TLB
-	if cfg.UseDTLB {
+	if s.dtlb != nil {
 		if snap.DTLB == nil {
 			return nil, fmt.Errorf("core: config uses a DTLB but the snapshot has no DTLB state")
 		}
-		dtlb = cache.DefaultDTLB()
-		if err := dtlb.Restore(snap.DTLB); err != nil {
+		if err := s.dtlb.Restore(snap.DTLB); err != nil {
 			return nil, err
 		}
 	} else if snap.DTLB != nil {
 		return nil, fmt.Errorf("core: snapshot has DTLB state but the config uses none")
 	}
-	hier := cfg.Hierarchy()
 	if snap.Hier == nil {
 		return nil, fmt.Errorf("core: snapshot has no cache-hierarchy state")
 	}
-	if err := hier.Restore(snap.Hier); err != nil {
+	if err := s.hier.Restore(snap.Hier); err != nil {
 		return nil, err
 	}
 
-	s := &Sim{
-		cfg:        cfg,
-		em:         em,
-		pred:       pred,
-		dtlb:       dtlb,
-		hier:       hier,
-		lsq:        lsq.New(cfg.LSQSize),
-		legacy:     cfg.LegacyScheduler,
-		tracing:    cfg.Trace != nil,
-		collecting: cfg.Collector != nil,
-		oracleOn:   cfg.Oracle != nil,
-		invOn:      cfg.Invariants != nil,
-		injOn:      cfg.Inject != nil,
-		inj:        cfg.Inject,
-		tel:        cfg.Collector,
-		maxInsts:   maxInsts,
-		resumed:    true,
-	}
+	s.resumed = true
 	s.now = cc.Now
 	s.lastCommitC = cc.LastCommit
 	s.res = cc.Res
@@ -369,14 +325,5 @@ func NewSimFromSnapshot(snap *ckpt.Snapshot, cfg Config, maxInsts uint64) (*Sim,
 		}
 		s.baseTel = &sum
 	}
-
-	s.wh.ovMin = inf
-	if !s.legacy {
-		backing := make([]cand, wheelHorizon*4)
-		for i := range s.wh.bucket {
-			s.wh.bucket[i] = backing[i*4 : i*4 : (i+1)*4]
-		}
-	}
-	s.skipOK = !s.legacy && !s.tracing && !s.collecting && !s.invOn && !s.injOn
 	return s, nil
 }

@@ -16,7 +16,11 @@ import (
 //
 // The returned Result aggregates the measured windows: Insts counts only
 // sampled instructions and Cycles only sampled cycles, so IPC estimates
-// the whole-program IPC at a fraction of the simulation cost.
+// the whole-program IPC at a fraction of the simulation cost. Windows
+// run on Run's cycle driver, so the deadlock watchdog applies: a window
+// that commits nothing for the budget ends the run with a
+// *DeadlockError. With a telemetry Collector attached, the Result
+// carries its Summary.
 func RunSampled(prog *emu.Program, cfg Config, warmup, sampleLen, skipLen uint64,
 	nSamples int) (*Result, error) {
 	if sampleLen == 0 || nSamples < 1 {
@@ -31,7 +35,6 @@ func RunSampled(prog *emu.Program, cfg Config, warmup, sampleLen, skipLen uint64
 			return nil, err
 		}
 	}
-	total := &Result{Config: cfg.Name + "/sampled"}
 	for i := 0; i < nSamples; i++ {
 		done, err := s.runWindow(sampleLen)
 		if err != nil {
@@ -49,22 +52,9 @@ func RunSampled(prog *emu.Program, cfg Config, warmup, sampleLen, skipLen uint64
 			}
 		}
 	}
-	*total = s.res
-	total.Config = cfg.Name + "/sampled"
-	if total.Cycles > 0 {
-		total.IPC = float64(total.Insts) / float64(total.Cycles)
-	}
-	if total.Branches > 0 {
-		total.BranchAccuracy = 1 - float64(total.Mispredicts)/float64(total.Branches)
-	} else {
-		total.BranchAccuracy = 1
-	}
-	total.L1DMissRate = s.hier.L1D.MissRate()
-	total.L1IMissRate = s.hier.L1I.MissRate()
-	if s.dtlb != nil {
-		total.DTLBMissRate = s.dtlb.MissRate()
-	}
-	return total, nil
+	s.res.Config = cfg.Name + "/sampled"
+	s.deriveStats()
+	return &s.res, nil
 }
 
 // warmSkip advances the program functionally while keeping the caches and
@@ -94,29 +84,15 @@ func (s *Sim) warmSkip(n uint64) error {
 // pipeline drains, leaving the simulator ready for the next phase. It
 // reports whether the program finished inside the window.
 func (s *Sim) runWindow(sampleLen uint64) (programDone bool, err error) {
-	// Re-arm the fetch budget relative to what has already been fetched.
+	// Re-arm the fetch budget relative to what has already been fetched,
+	// and restart the watchdog at the window's first cycle.
 	s.maxInsts = s.fetchedCnt + sampleLen
 	s.traceDone = false
-
-	const safety = 40_000
-	lastCommit := s.now
-	for {
-		committed, err := s.cycle()
-		if err != nil {
-			return false, err
-		}
-		if committed > 0 {
-			lastCommit = s.now
-		}
-		if s.drained() {
-			break
-		}
-		if s.now-lastCommit > safety {
-			return false, fmt.Errorf("core: sampled window stalled at cycle %d", s.now)
-		}
-		s.now = s.nextCycle(lastCommit, safety)
+	s.lastCommitC = s.now
+	if _, err := s.drive(); err != nil {
+		return false, err
 	}
-	s.now++ // account the drain cycle, as Run does
+	s.now++ // account the drain cycle, as finalize does
 	s.res.Cycles = s.now
 	// Prepare for a functional skip: drop any peeked instruction so the
 	// emulator's position is exact, and clear the fetch-line state.

@@ -300,9 +300,10 @@ type Sim struct {
 	// snapshot boundary; stopFlag carries an asynchronous RequestStop
 	// reason; baseTel the telemetry accumulated before the snapshot this
 	// run resumed from; lastCommitC the deadlock watchdog's last-commit
-	// cycle (a field rather than a Run local so a resumed run restores
-	// the watchdog's phase exactly); resumed defers the first nextCycle
-	// so the resume point re-enters Run's loop mid-iteration.
+	// cycle (a field rather than a drive local so a resumed run restores
+	// the watchdog's phase exactly and a sampled window can re-arm it);
+	// resumed defers the first nextCycle so the resume point re-enters
+	// drive's loop mid-iteration.
 	ckptEvery   uint64
 	ckptSink    ckpt.Sink
 	ckptBench   string
@@ -322,6 +323,14 @@ func NewSim(prog *emu.Program, cfg Config, maxInsts uint64) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newSim(cfg, emu.New(prog), maxInsts), nil
+}
+
+// newSim assembles a machine around em with cold predictor, DTLB, cache
+// hierarchy and LSQ. It is the one constructor behind NewSim and
+// NewSimFromSnapshot; a resume restores state into the components it
+// built. cfg must already be validated.
+func newSim(cfg Config, em *emu.Emulator, maxInsts uint64) *Sim {
 	pred := bpred.NewDefault()
 	if cfg.UseBimodal {
 		pred.Dir = bpred.NewBimodal(16)
@@ -335,7 +344,7 @@ func NewSim(prog *emu.Program, cfg Config, maxInsts uint64) (*Sim, error) {
 	}
 	s := &Sim{
 		cfg:        cfg,
-		em:         emu.New(prog),
+		em:         em,
 		pred:       pred,
 		dtlb:       dtlb,
 		hier:       cfg.Hierarchy(),
@@ -369,7 +378,7 @@ func NewSim(prog *emu.Program, cfg Config, maxInsts uint64) (*Sim, error) {
 	// telemetry sampling and the invariant checker all want to see every
 	// cycle, and fault injection may retime decisions cycle by cycle.
 	s.skipOK = !s.legacy && !s.tracing && !s.collecting && !s.invOn && !s.injOn
-	return s, nil
+	return s
 }
 
 // ---------------------------------------------------------------------------
@@ -450,10 +459,21 @@ func RunWarm(prog *emu.Program, cfg Config, warmup, maxInsts uint64) (*Result, e
 // Run drives cycles until the instruction budget commits or the program
 // ends, then finalizes statistics.
 func (s *Sim) Run() (*Result, error) {
-	// The deadlock watchdog: with Invariants enabled the budget is
-	// configurable; without, it keeps the historic 40k-cycle livelock
-	// guard. Either way it returns a structured ErrDeadlock with a
-	// pipeline dump, never hangs.
+	stop, err := s.drive()
+	if err != nil {
+		return nil, err
+	}
+	return s.finalize(stop), nil
+}
+
+// drive is the timing core's one cycle loop, behind Run and every
+// sampled window. It cycles until the pipeline drains (stop == "") or a
+// RequestStop is honored at a quiescent boundary (stop is its reason),
+// taking armed checkpoints on the way. The deadlock watchdog's budget
+// is configurable through Invariants, else the historic 40k-cycle
+// livelock guard; a machine that stops committing yields a structured
+// *DeadlockError with a pipeline dump, never a hang.
+func (s *Sim) drive() (stop string, err error) {
 	budget := s.cfg.Invariants.deadlockBudget()
 	if s.resumed {
 		// The snapshot was captured mid-iteration, just before the
@@ -467,13 +487,13 @@ func (s *Sim) Run() (*Result, error) {
 	for {
 		committed, err := s.cycle()
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		if committed > 0 {
 			s.lastCommitC = s.now
 		}
 		if s.drained() {
-			break
+			return "", nil
 		}
 		if s.fetchPaused || s.stopFlag.Load() != nil ||
 			(s.ckptEvery > 0 && s.res.Insts >= s.nextCkpt) {
@@ -486,16 +506,16 @@ func (s *Sim) Run() (*Result, error) {
 					s.nextCkpt += s.ckptEvery
 				}
 				if err := s.checkpointNow(); err != nil {
-					return nil, err
+					return "", err
 				}
 				s.fetchPaused = false
 				if r := s.stopReason(); r != "" {
-					return s.finalize(r), nil
+					return r, nil
 				}
 			}
 		}
 		if s.now-s.lastCommitC > budget {
-			return nil, &DeadlockError{
+			return "", &DeadlockError{
 				Cycle:     s.now,
 				Committed: s.res.Insts,
 				Budget:    budget,
@@ -504,13 +524,25 @@ func (s *Sim) Run() (*Result, error) {
 		}
 		s.now = s.nextCycle(s.lastCommitC, budget)
 	}
-	return s.finalize(""), nil
 }
 
-// finalize computes the derived statistics and returns the Result. A
-// non-empty stopReason marks the run as ended early by RequestStop.
+// finalize closes the cycle count, computes the derived statistics and
+// returns the Result. A non-empty stopReason marks the run as ended
+// early by RequestStop.
 func (s *Sim) finalize(stopReason string) *Result {
 	s.res.Cycles = s.now + 1
+	s.deriveStats()
+	if stopReason != "" {
+		s.res.Stopped = true
+		s.res.StopReason = stopReason
+	}
+	return &s.res
+}
+
+// deriveStats fills the Result fields computed from the raw counters
+// and s.res.Cycles: IPC, branch accuracy, miss rates and the telemetry
+// summary.
+func (s *Sim) deriveStats() {
 	if s.res.Cycles > 0 {
 		s.res.IPC = float64(s.res.Insts) / float64(s.res.Cycles)
 	}
@@ -525,19 +557,20 @@ func (s *Sim) finalize(stopReason string) *Result {
 		s.res.DTLBMissRate = s.dtlb.MissRate()
 	}
 	if s.tel != nil {
-		sum := s.tel.Summary()
-		if s.baseTel != nil {
-			m := s.baseTel.Clone()
-			m.Merge(sum)
-			sum = m
-		}
-		s.res.Telemetry = sum
+		s.res.Telemetry = s.telemetrySummary()
 	}
-	if stopReason != "" {
-		s.res.Stopped = true
-		s.res.StopReason = stopReason
+}
+
+// telemetrySummary is the collector's summary, folded onto the summary
+// restored from a snapshot when the run resumed from one.
+func (s *Sim) telemetrySummary() *telemetry.Summary {
+	sum := s.tel.Summary()
+	if s.baseTel != nil {
+		m := s.baseTel.Clone()
+		m.Merge(sum)
+		sum = m
 	}
-	return &s.res
+	return sum
 }
 
 // emit forwards one structured telemetry event. Callers must guard

@@ -19,8 +19,8 @@ import "pok/internal/isa"
 // cross-scheduler equivalence tests compare a skipping run against a
 // cycle-by-cycle reference and require bit-identical Results.
 
-// nextCycle returns the cycle Run should simulate next: s.now+1, or a
-// later cycle when everything between is provably quiet. The jump is
+// nextCycle returns the cycle drive should simulate next: s.now+1, or
+// a later cycle when everything between is provably quiet. The jump is
 // capped at the deadlock watchdog's firing cycle so a wedged machine
 // reports the same DeadlockError as the per-cycle loop.
 func (s *Sim) nextCycle(lastCommit, budget int64) int64 {

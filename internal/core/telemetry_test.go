@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pok/internal/emu"
 	"pok/internal/telemetry"
 	"pok/internal/workload"
 )
@@ -141,6 +142,42 @@ func TestTelemetryNilCollectorIdentity(t *testing.T) {
 		if got := sum.ResolvesEarly; got != plain.EarlyResolved {
 			t.Errorf("x%d: %d early-resolve events, %d early resolved", slices, got, plain.EarlyResolved)
 		}
+	}
+}
+
+// TestTelemetrySampledRun: sampled windows share Run's finalization, so
+// a Collector attached to RunSampled folds its Summary into the Result
+// without perturbing any other field.
+func TestTelemetrySampledRun(t *testing.T) {
+	w := workload.MustGet("gzip")
+	prog := func() *emu.Program {
+		p, err := w.Program(w.DefaultScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	cfg := BitSliced(2)
+	plain, err := RunSampled(prog(), cfg, w.FastForward, 2_000, 3_000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Collector = cfg.NewRecorder(0)
+	recorded, err := RunSampled(prog(), cfg, w.FastForward, 2_000, 3_000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recorded.Telemetry == nil {
+		t.Fatal("sampled run with a Collector carries no Summary")
+	}
+	if got := recorded.Telemetry.Events[telemetry.EvCommit.String()]; got != plain.Insts {
+		t.Errorf("%d commit events, %d sampled insts", got, plain.Insts)
+	}
+	clone := *recorded
+	clone.Telemetry = nil
+	if clone != *plain {
+		t.Errorf("telemetry perturbed the sampled run\nwith:\n%s\nwithout:\n%s",
+			recorded.Summary(), plain.Summary())
 	}
 }
 

@@ -76,3 +76,29 @@ func TestDeadlockWatchdogDefaultBudget(t *testing.T) {
 		t.Fatalf("committed %d, want 8000", r.Insts)
 	}
 }
+
+// TestSampledDeadlockWatchdog: sampled windows run on Run's cycle driver,
+// so a wedged window honours the configured budget and aborts with the
+// same structured *DeadlockError.
+func TestSampledDeadlockWatchdog(t *testing.T) {
+	cfg := BitSliced(2)
+	cfg.Inject = &wedgeInjector{seq: 200}
+	cfg.Invariants = &InvariantConfig{DeadlockBudget: 1_500}
+	_, err := RunSampled(mustProg(t, mispredictHeavy), cfg, 0, 5_000, 1_000, 3)
+	if err == nil {
+		t.Fatal("wedged sampled run completed")
+	}
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("want ErrDeadlock, got %v", err)
+	}
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("error is not a *DeadlockError: %v", err)
+	}
+	if de.Budget != 1_500 {
+		t.Errorf("budget %d, configured 1500", de.Budget)
+	}
+	if de.Dump == "" || !strings.Contains(de.Dump, "window=") {
+		t.Errorf("dump missing pipeline state:\n%s", de.Dump)
+	}
+}

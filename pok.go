@@ -95,7 +95,9 @@ func RunWarm(prog *Program, cfg Config, warmup, maxInsts uint64) (*Result, error
 // RunSampled performs SMARTS-style sampled simulation: nSamples detailed
 // windows of sampleLen instructions separated by functionally-warmed
 // skips of skipLen instructions. The result's IPC estimates the full-run
-// IPC at a fraction of the cost.
+// IPC at a fraction of the cost. Windows share Run's deadlock watchdog:
+// a window that commits nothing for the budget (default 40 000 cycles)
+// fails the run with an error matching errors.Is(err, ErrDeadlock).
 func RunSampled(prog *Program, cfg Config, warmup, sampleLen, skipLen uint64,
 	nSamples int) (*Result, error) {
 	return core.RunSampled(prog, cfg, warmup, sampleLen, skipLen, nSamples)
