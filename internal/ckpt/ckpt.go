@@ -6,12 +6,13 @@
 // MRU way pointers, TLB) — so a run resumed from a checkpoint is
 // bit-identical to one that was never interrupted.
 //
-// Files are written atomically (temp + fsync + rename), every section
-// carries an FNV-64a content hash, and the decoder classifies damage
-// with structured errors: a truncated tail (the crash-mid-write case,
-// like the PR 8 fleet journal) is *TruncatedError and tolerated by
-// falling back to an older snapshot; mid-file corruption or a version
-// mismatch is refused with *CorruptError / *VersionError.
+// Files are written atomically (WriteAtomic: temp + fsync + rename +
+// directory fsync), every section carries an FNV-64a content hash, and
+// the decoder classifies damage with structured errors: a truncated
+// tail (the crash-mid-write case, like the PR 8 fleet journal) is
+// *TruncatedError and tolerated by falling back to an older snapshot;
+// mid-file corruption or a version mismatch is refused with
+// *CorruptError / *VersionError.
 package ckpt
 
 import (

@@ -6,37 +6,66 @@ import (
 	"path/filepath"
 )
 
-// WriteFile writes an encoded snapshot atomically: temp file in the
-// same directory, fsync, rename. A crash at any point leaves either the
-// previous file or the complete new one — never a torn write at the
-// final path.
+// WriteFile writes an encoded snapshot atomically (see WriteAtomic).
 func WriteFile(path string, s *Snapshot) error {
-	data := Encode(s)
+	return WriteAtomic(path, Encode(s))
+}
+
+// The steps of WriteAtomic, swapped one at a time by its fault test.
+var (
+	createTemp = os.CreateTemp
+	writeFile  = (*os.File).Write
+	syncFile   = (*os.File).Sync
+	closeFile  = (*os.File).Close
+	rename     = os.Rename
+	syncDir    = SyncDir
+)
+
+// WriteAtomic is the one crash-safe way to replace a file: write a temp
+// file in path's directory, fsync and close it, rename it over path
+// (mode 0644), then fsync the directory so the rename survives a power
+// loss too. A crash leaves the previous file or the complete new one,
+// never a torn write. An error before the rename removes the temp file
+// and leaves path untouched; after a failed directory fsync, path holds
+// data but its durability is unconfirmed.
+func WriteAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
+	tmp, err := createTemp(dir, "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	if err = tmp.Chmod(0o644); err == nil {
+		_, err = writeFile(tmp, data)
+	}
+	if err == nil {
+		err = syncFile(tmp)
+	}
+	if err == nil {
+		err = closeFile(tmp)
+	}
+	if err == nil {
+		err = rename(tmp.Name(), path)
+	}
+	if err != nil {
+		tmp.Close() // a harmless error if closeFile already ran
+		os.Remove(tmp.Name())
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
 	return nil
+}
+
+// SyncDir fsyncs a directory, making the entries just created, renamed
+// or removed in it durable.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // ReadFile decodes one snapshot file (which may be a delta; see

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"pok/internal/ckpt"
 	"pok/internal/metrics"
 	"pok/internal/soak"
 )
@@ -49,7 +50,9 @@ const journalFile = "journal.jsonl"
 
 // OpenJournal opens (creating if needed) the journal in dir. The
 // returned journal appends to any existing log, so the caller should
-// replay it first via Coordinator.AttachJournal.
+// replay it first via Coordinator.AttachJournal. It fsyncs dir, so a
+// newly created log's directory entry survives a power loss along with
+// the records fsync'd into it.
 func OpenJournal(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: journal dir: %w", err)
@@ -58,6 +61,10 @@ func OpenJournal(dir string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("serve: journal: %w", err)
+	}
+	if err := ckpt.SyncDir(dir); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("serve: journal dir: %w", err)
 	}
 	return &Journal{f: f, path: path}, nil
 }

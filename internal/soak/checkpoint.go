@@ -6,6 +6,8 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+
+	"pok/internal/ckpt"
 )
 
 // Checkpoint is the resumable frontier of a soak campaign. Because a
@@ -55,24 +57,20 @@ func optionsSig(o Options) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// SaveCheckpoint writes cp atomically (temp file + rename) so a soak
-// killed mid-snapshot never leaves a truncated checkpoint behind.
+// SaveCheckpoint writes cp with ckpt.WriteAtomic, so a soak killed
+// mid-snapshot, or a power loss, never leaves a truncated checkpoint
+// behind.
 func SaveCheckpoint(path string, cp *Checkpoint) error {
 	b, err := json.MarshalIndent(cp, "", "  ")
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return ckpt.WriteAtomic(path, append(b, '\n'))
 }
 
 // LoadCheckpoint reads a checkpoint file.

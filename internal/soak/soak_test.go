@@ -175,8 +175,16 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, cp) {
 		t.Fatalf("round trip: got %+v want %+v", got, cp)
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temp file left behind")
+	ents, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != "cp.json" {
+		t.Fatalf("checkpoint directory holds %v, want only cp.json", names)
 	}
 	cp.Version = 99
 	if err := SaveCheckpoint(path, cp); err != nil {
