@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"pok/internal/emu"
 )
 
 // wedgeInjector is a minimal core.Injector that corrupts slice 0 of one
@@ -21,21 +23,32 @@ func (w *wedgeInjector) ForceAliasConflict(uint64) bool    { return false }
 func (w *wedgeInjector) MutateCommit(*CommitRecord)        {}
 
 // TestDeadlockWatchdog wedges one instruction forever and checks that
-// both schedulers abort with a structured *DeadlockError — identifiable
-// via errors.Is(err, ErrDeadlock) — whose dump names the wedged pipeline
+// both schedulers, and the sampled windows that share Run's cycle
+// driver, abort with a structured *DeadlockError — identifiable via
+// errors.Is(err, ErrDeadlock) — whose dump names the wedged pipeline
 // state, well before the instruction budget would have been reached.
 func TestDeadlockWatchdog(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		name := "event"
-		if legacy {
-			name = "legacy"
-		}
-		t.Run(name, func(t *testing.T) {
+	sampled := func(prog *emu.Program, cfg Config) (*Result, error) {
+		return RunSampled(prog, cfg, 0, 5_000, 1_000, 3)
+	}
+	full := func(prog *emu.Program, cfg Config) (*Result, error) {
+		return Run(prog, cfg, 100_000)
+	}
+	for _, tc := range []struct {
+		name   string
+		legacy bool
+		run    func(*emu.Program, Config) (*Result, error)
+	}{
+		{"event", false, full},
+		{"legacy", true, full},
+		{"sampled", false, sampled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := BitSliced(2)
-			cfg.LegacyScheduler = legacy
+			cfg.LegacyScheduler = tc.legacy
 			cfg.Inject = &wedgeInjector{seq: 200}
 			cfg.Invariants = &InvariantConfig{DeadlockBudget: 1_500}
-			_, err := Run(mustProg(t, mispredictHeavy), cfg, 100_000)
+			_, err := tc.run(mustProg(t, mispredictHeavy), cfg)
 			if err == nil {
 				t.Fatal("wedged machine completed its run")
 			}
@@ -74,31 +87,5 @@ func TestDeadlockWatchdogDefaultBudget(t *testing.T) {
 	}
 	if r.Insts != 8_000 {
 		t.Fatalf("committed %d, want 8000", r.Insts)
-	}
-}
-
-// TestSampledDeadlockWatchdog: sampled windows run on Run's cycle driver,
-// so a wedged window honours the configured budget and aborts with the
-// same structured *DeadlockError.
-func TestSampledDeadlockWatchdog(t *testing.T) {
-	cfg := BitSliced(2)
-	cfg.Inject = &wedgeInjector{seq: 200}
-	cfg.Invariants = &InvariantConfig{DeadlockBudget: 1_500}
-	_, err := RunSampled(mustProg(t, mispredictHeavy), cfg, 0, 5_000, 1_000, 3)
-	if err == nil {
-		t.Fatal("wedged sampled run completed")
-	}
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("want ErrDeadlock, got %v", err)
-	}
-	var de *DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("error is not a *DeadlockError: %v", err)
-	}
-	if de.Budget != 1_500 {
-		t.Errorf("budget %d, configured 1500", de.Budget)
-	}
-	if de.Dump == "" || !strings.Contains(de.Dump, "window=") {
-		t.Errorf("dump missing pipeline state:\n%s", de.Dump)
 	}
 }
