@@ -94,15 +94,15 @@ func (s *Sim) quiescent() bool {
 }
 
 // runKinds names the scheduler and emulator flavors of cfg for Meta.
-func runKinds(cfg *Config) (sched, emu string) {
-	sched, emu = "event", "fast"
+func runKinds(cfg *Config) (sched, emulator string) {
+	sched, emulator = "event", "fast"
 	if cfg.LegacyScheduler {
 		sched = "legacy"
 	}
 	if cfg.LegacyEmulator {
-		emu = "legacy"
+		emulator = "legacy"
 	}
-	return sched, emu
+	return sched, emulator
 }
 
 // coreCkpt is the timing core's own snapshot section: the scalars that
