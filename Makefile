@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet bench ci check fuzz-smoke soak soak-smoke fleet-smoke chaos-smoke ckpt-smoke eval eval-quick examples loc clean
+.PHONY: all build test test-race vet bench perfbench-test ci check fuzz-smoke soak soak-smoke fleet-smoke chaos-smoke ckpt-smoke eval eval-quick examples loc clean
 
 all: build test
 
@@ -103,6 +103,13 @@ ckpt-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 	$(GO) run ./cmd/pok-bench -json-file BENCH_PR10.json -insts 20000
+
+# The benchmark module's own self-test (perfbench is a separate
+# module): vet plus its tests, including the determinism guard and the
+# fleet-vs-single-process check. About 15 s.
+perfbench-test:
+	cd perfbench && GOWORK=off GOFLAGS=-mod=mod $(GO) vet ./... && \
+		GOWORK=off GOFLAGS=-mod=mod $(GO) test ./...
 
 # Regenerate the paper's full evaluation into results/.
 eval:

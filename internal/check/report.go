@@ -24,7 +24,7 @@ type Options struct {
 	Invariants *core.InvariantConfig
 	// Injector, when non-nil, is installed as core.Config.Inject.
 	Injector core.Injector
-	// RingCap sizes the telemetry ring backing the failure trace window
+	// RingCap bounds the telemetry ring backing the failure trace window
 	// (0 = the telemetry default).
 	RingCap int
 	// TraceRadius selects events within +/- this many sequence numbers

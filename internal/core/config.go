@@ -168,7 +168,7 @@ type Config struct {
 }
 
 // NewRecorder builds a telemetry Recorder sized for this machine
-// configuration (ring capacity ringCap, 0 = default); assign it to
+// configuration (ring bound ringCap, 0 = default); assign it to
 // Collector before NewSim.
 func (c *Config) NewRecorder(ringCap int) *telemetry.Recorder {
 	return telemetry.NewRecorder(telemetry.RecorderConfig{

@@ -166,10 +166,10 @@ func FuzzEmuDiff(f *testing.F) {
 	})
 }
 
-// TestStepZeroAlloc is the allocation regression gate for the fast
-// path: a steady-state Step (ALU, memory and branch traffic) must not
-// allocate.
-func TestStepZeroAlloc(t *testing.T) {
+// hotLoop is a tight infinite loop touching ALU, load, store and
+// branch paths, with its predecode window already warm.
+func hotLoop(t *testing.T) *emu.Emulator {
+	t.Helper()
 	words := make([]byte, 0, 8*4)
 	enc := func(in isa.Inst) {
 		w, err := isa.Encode(in)
@@ -178,7 +178,6 @@ func TestStepZeroAlloc(t *testing.T) {
 		}
 		words = append(words, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
 	}
-	// A tight infinite loop touching ALU, load, store and branch paths.
 	enc(isa.Inst{Op: isa.OpADDIU, Rt: isa.RegT0, Rs: isa.RegT0, Imm: 1})
 	enc(isa.Inst{Op: isa.OpSW, Rt: isa.RegT0, Rs: isa.RegGP, Imm: 0x40})
 	enc(isa.Inst{Op: isa.OpLW, Rt: isa.RegT0 + 1, Rs: isa.RegGP, Imm: 0x40})
@@ -192,6 +191,14 @@ func TestStepZeroAlloc(t *testing.T) {
 	if _, err := e.Run(64, nil); err != nil { // warm the predecode window
 		t.Fatal(err)
 	}
+	return e
+}
+
+// TestStepZeroAlloc is the allocation regression gate for the fast
+// path: a steady-state Step (ALU, memory and branch traffic) must not
+// allocate.
+func TestStepZeroAlloc(t *testing.T) {
+	e := hotLoop(t)
 	var d emu.DynInst
 	allocs := testing.AllocsPerRun(1000, func() {
 		if err := e.StepInto(&d); err != nil {
@@ -200,5 +207,21 @@ func TestStepZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Emulator.Step allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestRunVisitorAllocs: a visited Run reuses one record, so its
+// allocations are a per-call constant rather than one per instruction.
+func TestRunVisitorAllocs(t *testing.T) {
+	e := hotLoop(t)
+	var sink uint32
+	visit := func(d *emu.DynInst) { sink += d.DstVal }
+	allocs := testing.AllocsPerRun(20, func() {
+		if n, err := e.Run(10_000, visit); err != nil || n != 10_000 {
+			t.Fatalf("Run = %d, %v; want 10000 instructions", n, err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("Run(10000, visit) allocates %.1f times per call, want at most 2", allocs)
 	}
 }

@@ -511,6 +511,8 @@ func (e *Emulator) print(s string) {
 // Run executes until the program halts or maxInsts instructions have
 // executed (0 means no limit), invoking visit for each instruction if
 // visit is non-nil. It returns the number of instructions executed.
+// The record passed to visit is reused for the next instruction, so
+// visit must copy *d rather than keep the pointer after it returns.
 func (e *Emulator) Run(maxInsts uint64, visit func(*DynInst)) (uint64, error) {
 	start := e.icount
 	if visit == nil {
@@ -530,12 +532,14 @@ func (e *Emulator) Run(maxInsts uint64, visit func(*DynInst)) (uint64, error) {
 		}
 		return e.icount - start, nil
 	}
+	// One record serves every step: StepInto overwrites all of it, and
+	// a per-step record would escape into visit and heap-allocate.
+	var d DynInst
 	for !e.halted {
 		if maxInsts > 0 && e.icount-start >= maxInsts {
 			break
 		}
-		d, err := e.Step()
-		if err != nil {
+		if err := e.StepInto(&d); err != nil {
 			if errors.Is(err, ErrHalted) {
 				break
 			}

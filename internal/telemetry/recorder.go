@@ -3,8 +3,10 @@ package telemetry
 import "pok/internal/stats"
 
 // Recorder is the standard Collector: a bounded event ring plus
-// per-cycle occupancy histograms and event-kind counters, all
-// preallocated so the steady-state Record path never allocates.
+// per-cycle occupancy histograms and event-kind counters. The
+// histograms and counters are preallocated; the ring grows on demand
+// up to its bound, so a short run costs only the events it records and
+// a run that fills the ring records without allocating.
 type Recorder struct {
 	ring   *Ring
 	counts [numKinds]uint64
@@ -24,7 +26,8 @@ type Recorder struct {
 
 // RecorderConfig sizes a Recorder for one machine configuration.
 type RecorderConfig struct {
-	// RingCap bounds the event ring (DefaultRingCap when 0).
+	// RingCap bounds the event ring (DefaultRingCap when 0). It is a
+	// limit, not a size: the ring grows toward it as events arrive.
 	RingCap int
 	// WindowSize / LSQSize / IssueSlots size the occupancy histograms;
 	// small defaults are substituted when 0.
