@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
@@ -112,13 +111,14 @@ func main() {
 	// the total wall time; shared by the full run and the -emu shortcut.
 	finish := func(total time.Duration) {
 		if *jsonOut || *jsonFile != "" {
+			build := pok.DetectBuild()
 			report := pok.BenchReport{
 				Date:        time.Now().Format("2006-01-02"),
-				GoVersion:   runtime.Version(),
+				GoVersion:   build.GoVersion,
 				NumCPU:      runtime.NumCPU(),
 				Gomaxprocs:  runtime.GOMAXPROCS(0),
 				CPUModel:    cpuModel(),
-				GitSHA:      gitSHA(),
+				GitSHA:      build.GitSHA,
 				InstsBudget: *insts,
 				Parallel:    *parallel,
 				TotalWallMS: total.Milliseconds(),
@@ -495,16 +495,6 @@ func cpuModel() string {
 		}
 	}
 	return ""
-}
-
-// gitSHA records the source revision the benchmark ran on; empty when
-// git (or the repository) is unavailable.
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
 }
 
 func fatal(err error) {

@@ -47,7 +47,7 @@ func main() {
 		}
 		fmt.Print(out)
 	case *sim != "":
-		cfg, err := configByName(*sim)
+		cfg, err := pok.ConfigByName(*sim)
 		if err != nil {
 			fatal(err)
 		}
@@ -64,22 +64,6 @@ func main() {
 	default:
 		fmt.Print(text)
 	}
-}
-
-func configByName(name string) (pok.Config, error) {
-	switch name {
-	case "base", "ideal":
-		return pok.BaseConfig(), nil
-	case "simple2":
-		return pok.SimplePipelined(2), nil
-	case "simple4":
-		return pok.SimplePipelined(4), nil
-	case "slice2", "bitslice2":
-		return pok.BitSliced(2), nil
-	case "slice4", "bitslice4":
-		return pok.BitSliced(4), nil
-	}
-	return pok.Config{}, fmt.Errorf("unknown config %q", name)
 }
 
 func fatal(err error) {

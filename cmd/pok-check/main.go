@@ -36,22 +36,6 @@ import (
 	"pok"
 )
 
-func configByName(name string) (pok.Config, error) {
-	switch name {
-	case "base", "ideal":
-		return pok.BaseConfig(), nil
-	case "simple2":
-		return pok.SimplePipelined(2), nil
-	case "simple4":
-		return pok.SimplePipelined(4), nil
-	case "slice2", "bitslice2":
-		return pok.BitSliced(2), nil
-	case "slice4", "bitslice4":
-		return pok.BitSliced(4), nil
-	}
-	return pok.Config{}, fmt.Errorf("unknown config %q (base, simple2, simple4, slice2, slice4)", name)
-}
-
 func main() {
 	bench := flag.String("bench", "", "comma-separated benchmark names")
 	progFile := flag.String("prog", "", "assemble and check this .s file instead of -bench (repro-bundle replay)")
@@ -163,7 +147,7 @@ matrix:
 			warmup = w.FastForward
 		}
 		for _, cfgName := range strings.Split(*cfgNames, ",") {
-			cfg, err := configByName(strings.TrimSpace(cfgName))
+			cfg, err := pok.ConfigByName(strings.TrimSpace(cfgName))
 			if err != nil {
 				fatal(err)
 			}

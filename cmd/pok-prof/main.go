@@ -210,7 +210,7 @@ func loadDump(path string) (*run, error) {
 // liveRun simulates the benchmark with the profiling collector chained
 // onto a standard recorder.
 func liveRun(bench, cfgName string, insts uint64) (*run, error) {
-	cfg, err := configByName(cfgName)
+	cfg, err := pok.ConfigByName(cfgName)
 	if err != nil {
 		return nil, err
 	}
@@ -243,22 +243,6 @@ func selfCheck(st *pok.CPIStack) {
 		pct = 100 * float64(sum) / float64(st.Cycles)
 	}
 	fmt.Printf("accounted %d/%d cycles (%.2f%%) — attribution mismatch\n", sum, st.Cycles, pct)
-}
-
-func configByName(name string) (pok.Config, error) {
-	switch name {
-	case "base", "ideal":
-		return pok.BaseConfig(), nil
-	case "simple2":
-		return pok.SimplePipelined(2), nil
-	case "simple4":
-		return pok.SimplePipelined(4), nil
-	case "slice2", "bitslice2":
-		return pok.BitSliced(2), nil
-	case "slice4", "bitslice4":
-		return pok.BitSliced(4), nil
-	}
-	return pok.Config{}, fmt.Errorf("unknown config %q (base, simple2, simple4, slice2, slice4)", name)
 }
 
 func fatal(err error) {

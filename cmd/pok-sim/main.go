@@ -39,22 +39,6 @@ import (
 	"pok/internal/core"
 )
 
-func configByName(name string) (pok.Config, error) {
-	switch name {
-	case "base", "ideal":
-		return pok.BaseConfig(), nil
-	case "simple2":
-		return pok.SimplePipelined(2), nil
-	case "simple4":
-		return pok.SimplePipelined(4), nil
-	case "slice2", "bitslice2":
-		return pok.BitSliced(2), nil
-	case "slice4", "bitslice4":
-		return pok.BitSliced(4), nil
-	}
-	return pok.Config{}, fmt.Errorf("unknown config %q (base, simple2, simple4, slice2, slice4)", name)
-}
-
 func main() {
 	bench := flag.String("bench", "", "benchmark name (see -list)")
 	asmFile := flag.String("asm", "", "assembly source file to simulate instead of a benchmark")
@@ -81,7 +65,7 @@ func main() {
 		return
 	}
 
-	cfg, err := configByName(*cfgName)
+	cfg, err := pok.ConfigByName(*cfgName)
 	if err != nil {
 		fatal(err)
 	}

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -42,7 +44,7 @@ type Coordinator struct {
 
 	jobs      map[string]*job
 	order     []string // job ids in submission order
-	queue     []*cell  // pending cells, FIFO
+	queue     []*cell  // pending cells of live (not failed) jobs, FIFO
 	leases    map[string]*cell
 	workers   map[string]*workerInfo
 	nextJob   int
@@ -58,7 +60,6 @@ type Coordinator struct {
 	draining   bool
 	journal    *Journal
 	journalErr error
-	replaying  bool
 
 	// build is the provenance stamp surfaced on /api/status and
 	// /metrics (SetBuild).
@@ -158,11 +159,13 @@ type cell struct {
 	// resume is the committed instruction-granular cursor: always
 	// positioned at `cursor` (the next program), it re-arms the next
 	// lease's Assignment so a reaped or released worker's mid-program
-	// snapshot is not lost. liveResume is the current lease's latest
-	// heartbeat cursor, folded into resume on requeue exactly like
-	// liveFindings/liveRuns fold into the base. Both are in-memory
-	// only — the journal excludes snapshot blobs, so a coordinator
-	// restart resumes at program granularity.
+	// position is not lost. liveResume is the current lease's latest
+	// reported cursor, folded into resume on requeue exactly like
+	// liveFindings/liveRuns fold into the base. The journal keeps both
+	// as (program, matrix cell) without the snapshot blob, so after a
+	// coordinator restart the next lease still skips the matrix cells
+	// the base already counts and reruns the interrupted one from its
+	// start.
 	resume     *ResumeCursor
 	liveResume *ResumeCursor
 
@@ -192,6 +195,14 @@ type job struct {
 	cells     []*cell
 	submitted time.Time
 	failed    string
+}
+
+// cellsByStart lists the job's cells in program order — the merge
+// order, since cells partition the program range.
+func (j *job) cellsByStart() []*cell {
+	cells := append([]*cell(nil), j.cells...)
+	sort.Slice(cells, func(a, b int) bool { return cells[a].start < cells[b].start })
+	return cells
 }
 
 func (j *job) done() bool {
@@ -236,6 +247,17 @@ type workerInfo struct {
 	wallNanos int64
 }
 
+// credit accrues what a lease's report rec adds beyond the lease's
+// last report — programs, findings and simulation throughput — into
+// the worker's counters. Call it before committing rec.
+func (w *workerInfo) credit(cl *cell, rec journalRecord) {
+	if rec.Cursor > cl.liveCursor {
+		w.programs += rec.Cursor - cl.liveCursor
+	}
+	w.findings += len(rec.Findings) - len(cl.liveFindings)
+	w.foldSnapDelta(cl.liveSnap, rec.Snap)
+}
+
 // foldSnapDelta accrues the growth between a lease's previous and
 // current snapshot into the worker's cumulative throughput counters.
 func (w *workerInfo) foldSnapDelta(prev, cur *metrics.Snapshot) {
@@ -258,9 +280,9 @@ func (w *workerInfo) foldSnapDelta(prev, cur *metrics.Snapshot) {
 	}
 }
 
-// buildJobLocked shards a normalized spec into a job. It is shared by
-// Submit and journal replay, so the sharding must be a pure function
-// of the spec.
+// buildJobLocked shards a normalized spec into a job. Only the submit
+// transition calls it, so the sharding is a pure function of the spec
+// and replay rebuilds the identical cells.
 func (c *Coordinator) buildJobLocked(id string, spec JobSpec) *job {
 	j := &job{id: id, spec: spec, submitted: c.now().UTC()}
 	switch spec.Kind {
@@ -303,16 +325,9 @@ func (c *Coordinator) Submit(spec JobSpec) (string, error) {
 	if c.draining {
 		return "", fmt.Errorf("serve: coordinator is draining; not accepting jobs")
 	}
-	c.nextJob++
-	j := c.buildJobLocked(fmt.Sprintf("job-%d", c.nextJob), spec)
-	c.jobs[j.id] = j
-	c.order = append(c.order, j.id)
-	c.queue = append(c.queue, j.cells...)
-	if spec.SubmitKey != "" {
-		c.submitted[spec.SubmitKey] = j.id
-	}
-	c.journalAppend(journalRecord{T: recSubmit, Job: j.id, Spec: &spec}, true)
-	return j.id, nil
+	rec := journalRecord{T: recSubmit, Job: fmt.Sprintf("job-%d", c.nextJob+1), Spec: &spec}
+	c.commitLocked(rec, true)
+	return rec.Job, nil
 }
 
 // Lease hands the next pending cell to worker, stealing the tail of a
@@ -340,32 +355,20 @@ func (c *Coordinator) Lease(worker, nonce string) *Assignment {
 	}
 
 	var cl *cell
-	for len(c.queue) > 0 {
-		cand := c.queue[0]
-		c.queue = c.queue[1:]
-		if cand.state == cellPending && cand.job.failed == "" {
-			cl = cand
-			break
-		}
-	}
-	if cl == nil {
-		cl = c.steal()
-	}
-	if cl == nil {
+	if len(c.queue) > 0 {
+		cl = c.queue[0]
+	} else if cl = c.steal(); cl == nil {
 		return nil
 	}
-
-	c.nextLease++
-	c.grantLocked(cl, fmt.Sprintf("lease-%d", c.nextLease), worker, nonce)
-	w.cells++
-	c.journalAppend(journalRecord{
-		T: recLease, Lease: cl.lease, Job: cl.job.id, Cell: cl.id,
-		Worker: worker, Nonce: nonce, Cursor: cl.grantStart,
+	c.commitLocked(journalRecord{
+		T: recLease, Lease: fmt.Sprintf("lease-%d", c.nextLease+1),
+		Job: cl.job.id, Cell: cl.id, Worker: worker, Nonce: nonce, Cursor: cl.cursor,
 	}, true)
+	w.cells++
 	return c.assignmentLocked(cl)
 }
 
-// grantLocked marks a cell leased. Shared by Lease and journal replay.
+// grantLocked takes a cell off the pending queue and marks it leased.
 func (c *Coordinator) grantLocked(cl *cell, lease, worker, nonce string) {
 	cl.state = cellLeased
 	cl.lease = lease
@@ -379,6 +382,7 @@ func (c *Coordinator) grantLocked(cl *cell, lease, worker, nonce string) {
 	cl.liveSnap = nil
 	cl.liveResume = nil
 	c.leases[lease] = cl
+	c.queue = slices.DeleteFunc(c.queue, func(q *cell) bool { return q == cl })
 }
 
 func (c *Coordinator) assignmentLocked(cl *cell) *Assignment {
@@ -399,12 +403,13 @@ func (c *Coordinator) assignmentLocked(cl *cell) *Assignment {
 	return a
 }
 
-// steal splits the running soak cell with the most remaining programs.
-// The split point mid is at least LeaseReadahead+1 programs past the
-// victim's last reported cursor: the victim never runs more than
-// LeaseReadahead programs past a cursor the coordinator acknowledged
-// (see LeaseReadahead), so even a victim that has been computing
-// through a heartbeat outage stops before mid — no overlap, no gap.
+// steal splits the running soak cell with the most remaining programs
+// and returns the new tail cell. The split point mid is at least
+// LeaseReadahead+1 programs past the victim's last reported cursor:
+// the victim never runs more than LeaseReadahead programs past a
+// cursor the coordinator acknowledged (see LeaseReadahead), so even a
+// victim that has been computing through a heartbeat outage stops
+// before mid — no overlap, no gap.
 func (c *Coordinator) steal() *cell {
 	var victim *cell
 	best := 0
@@ -423,17 +428,10 @@ func (c *Coordinator) steal() *cell {
 	if victim.end-mid < 2 {
 		return nil
 	}
-	stolen := &cell{
-		job: victim.job, id: len(victim.job.cells), kind: "soak",
-		start: mid, end: victim.end, cursor: mid, liveCursor: mid,
-	}
-	c.journalAppend(journalRecord{
-		T: recSteal, Job: victim.job.id, Victim: victim.id,
-		Cell: stolen.id, Mid: mid,
-	}, true)
-	victim.end = mid
-	victim.job.cells = append(victim.job.cells, stolen)
-	return stolen
+	j := victim.job
+	rec := journalRecord{T: recSteal, Job: j.id, Victim: victim.id, Cell: len(j.cells), Mid: mid}
+	c.commitLocked(rec, true)
+	return j.cells[rec.Cell]
 }
 
 // Heartbeat extends a lease and records the worker's progress. The
@@ -453,45 +451,29 @@ func (c *Coordinator) Heartbeat(hb Heartbeat) HeartbeatReply {
 	if !ok || cl.job.failed != "" {
 		return HeartbeatReply{Cancel: true}
 	}
-	if hb.Cursor > cl.liveCursor {
-		w.programs += hb.Cursor - cl.liveCursor
+	rec := journalRecord{
+		T: recHB, Lease: hb.Lease, Worker: hb.Worker,
+		Cursor: hb.Cursor, Runs: hb.Runs, Findings: hb.Findings,
+		Resume: resumeAt(hb.Resume, hb.Cursor),
 	}
-	w.findings += len(hb.Findings) - len(cl.liveFindings)
-	advanced := hb.Cursor != cl.liveCursor || hb.Runs != cl.liveRuns ||
+	progressed := hb.Cursor != cl.liveCursor || hb.Runs != cl.liveRuns ||
 		len(hb.Findings) != len(cl.liveFindings)
-	cl.liveCursor = hb.Cursor
-	cl.liveFindings = hb.Findings
-	cl.liveRuns = hb.Runs
-	// The instruction-granular cursor is only meaningful while it
-	// points inside the program the cursor stands on; a heartbeat at a
-	// program boundary (nil Resume, or one for an older program)
-	// invalidates any earlier mid-program position.
-	if hb.Resume != nil && hb.Resume.Program == hb.Cursor {
-		cl.liveResume = hb.Resume
-	} else {
-		cl.liveResume = nil
+	if !progressed && sameResume(rec.Resume, cl.liveResume) {
+		// A keepalive, or a duplicate (retry or transport dup): only
+		// the lease is extended, nothing is journaled.
+		cl.expiry = c.now().Add(c.leaseTTL)
+		return HeartbeatReply{End: cl.end}
 	}
-	cl.expiry = c.now().Add(c.leaseTTL)
-	ms := c.now().UnixMilli()
-	if hb.Snapshot != nil {
-		w.foldSnapDelta(cl.liveSnap, hb.Snapshot)
-		cl.liveSnap = hb.Snapshot
+	if progressed && hb.Snapshot != nil {
+		// A heartbeat that only moves the mid-program cursor carries
+		// the same accumulator as the last one; leaving it out keeps
+		// the sample ring duplicate-free.
+		rec.Snap, rec.Ms = hb.Snapshot, c.now().UnixMilli()
 	}
-	if advanced {
-		if hb.Snapshot != nil {
-			// A duplicate heartbeat (retry or transport dup) reports the
-			// same cursor/runs/findings, so gating the sample on advance
-			// keeps the ring duplicate-free.
-			c.appendSampleLocked(ms, hb.Worker, cl, hb.Snapshot)
-		}
-		// Cursor records are appended without fsync: losing the tail
-		// of them to a crash only re-runs a few programs.
-		c.journalAppend(journalRecord{
-			T: recHB, Lease: hb.Lease, Worker: hb.Worker,
-			Cursor: hb.Cursor, Runs: hb.Runs, Findings: hb.Findings,
-			Snap: hb.Snapshot, Ms: ms,
-		}, false)
-	}
+	w.credit(cl, rec)
+	// Heartbeat records are appended without fsync: losing the tail of
+	// them to a crash only re-runs a few programs.
+	c.commitLocked(rec, false)
 	return HeartbeatReply{End: cl.end}
 }
 
@@ -520,50 +502,21 @@ func (c *Coordinator) Complete(res CellResult) error {
 		return fmt.Errorf("serve: lease %s completed at cursor %d beyond cell end %d",
 			res.Lease, res.Cursor, cl.end)
 	}
-	if res.Cursor > cl.liveCursor {
-		w.programs += res.Cursor - cl.liveCursor
-	}
-	w.findings += len(res.Findings) - len(cl.liveFindings)
-	w.foldSnapDelta(cl.liveSnap, res.Snapshot)
-	ms := c.now().UnixMilli()
-	c.journalAppend(journalRecord{
+	rec := journalRecord{
 		T: recComplete, Lease: res.Lease, Worker: res.Worker,
 		Cursor: res.Cursor, Runs: res.Runs, Findings: res.Findings,
-		Rows: res.Rows, Snap: res.Snapshot, Ms: ms,
-	}, true)
-	c.completeLocked(cl, res.Lease, res.Worker, ms, res.Runs, res.Findings, res.Rows, res.Snapshot)
+		Rows: res.Rows, Snap: res.Snapshot, Ms: c.now().UnixMilli(),
+	}
+	w.credit(cl, rec)
+	c.commitLocked(rec, true)
 	return nil
 }
 
-// completeLocked applies a completion. Shared with journal replay.
-func (c *Coordinator) completeLocked(cl *cell, lease, worker string, ms int64,
-	runs int, findings []soak.Finding, rows []BenchRow, snap *metrics.Snapshot) {
-	delete(c.leases, lease)
-	c.completed[lease] = true
-	cl.state = cellDone
-	cl.findings = append(cl.baseFindings, findings...)
-	cl.runs = cl.baseRuns + runs
-	cl.rows = rows
-	cl.cursor = cl.end
-	if snap != nil || cl.baseSnap != nil {
-		final := &metrics.Snapshot{}
-		final.Merge(cl.baseSnap)
-		final.Merge(snap)
-		cl.snap = final
-	}
-	if snap != nil {
-		c.appendSampleLocked(ms, worker, cl, snap)
-	}
-	cl.baseSnap, cl.liveSnap = nil, nil
-	cl.resume, cl.liveResume = nil, nil
-	cl.lease, cl.worker, cl.nonce = "", "", ""
-	cl.liveFindings, cl.liveRuns = nil, 0
-}
-
 // Release hands a lease back cleanly — a draining worker finished its
-// current program, heartbeat its final cursor and is exiting. The
-// partial results fold into the cell's committed base and the cell
-// requeues at the released cursor without a retry strike.
+// current program (or drain-stopped inside one), heartbeat its final
+// cursor and is exiting. The partial results fold into the cell's
+// committed base and the cell requeues at the released cursor without
+// a retry strike.
 func (c *Coordinator) Release(rel ReleaseRequest) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -573,29 +526,13 @@ func (c *Coordinator) Release(rel ReleaseRequest) {
 	if !ok {
 		return
 	}
-	if rel.Cursor > cl.liveCursor {
-		w.programs += rel.Cursor - cl.liveCursor
-	}
-	w.findings += len(rel.Findings) - len(cl.liveFindings)
-	w.foldSnapDelta(cl.liveSnap, rel.Snapshot)
-	c.journalAppend(journalRecord{
+	rec := journalRecord{
 		T: recRelease, Lease: rel.Lease, Worker: rel.Worker,
 		Cursor: rel.Cursor, Runs: rel.Runs, Findings: rel.Findings,
-		Snap: rel.Snapshot,
-	}, true)
-	delete(c.leases, rel.Lease)
-	cl.liveCursor = rel.Cursor
-	cl.liveRuns = rel.Runs
-	cl.liveFindings = rel.Findings
-	if rel.Resume != nil && rel.Resume.Program == rel.Cursor {
-		cl.liveResume = rel.Resume
-	} else {
-		cl.liveResume = nil
+		Snap: rel.Snapshot, Resume: resumeAt(rel.Resume, rel.Cursor),
 	}
-	if rel.Snapshot != nil {
-		cl.liveSnap = rel.Snapshot
-	}
-	c.requeueLocked(cl)
+	w.credit(cl, rec)
+	c.commitLocked(rec, true)
 }
 
 // Fail reports a hard worker-side error (not a finding — findings are
@@ -607,22 +544,8 @@ func (c *Coordinator) Fail(lease, worker, msg string) {
 	defer c.mu.Unlock()
 	c.reap()
 	c.touch(worker)
-	cl, ok := c.leases[lease]
-	if !ok {
-		return
-	}
-	c.journalAppend(journalRecord{T: recFail, Lease: lease, Worker: worker, Msg: msg}, true)
-	delete(c.leases, lease)
-	c.requeueLocked(cl)
-	c.strikeLocked(cl, msg)
-}
-
-// strikeLocked counts one failure/expiry against a cell and fails the
-// whole job past the retry budget.
-func (c *Coordinator) strikeLocked(cl *cell, msg string) {
-	cl.fails++
-	if cl.fails > c.retryLimit {
-		cl.job.failed = fmt.Sprintf("cell %d failed %d times: %s", cl.id, cl.fails, msg)
+	if _, ok := c.leases[lease]; ok {
+		c.commitLocked(journalRecord{T: recFail, Lease: lease, Worker: worker, Msg: msg}, true)
 	}
 }
 
@@ -633,15 +556,68 @@ func (c *Coordinator) reap() {
 	now := c.now()
 	for id, cl := range c.leases {
 		if now.After(cl.expiry) {
-			c.journalAppend(journalRecord{T: recExpire, Lease: id}, true)
-			delete(c.leases, id)
-			c.requeueLocked(cl)
-			c.strikeLocked(cl, "lease expired")
+			c.commitLocked(journalRecord{T: recExpire, Lease: id}, true)
 		}
 	}
 }
 
-func (c *Coordinator) requeueLocked(cl *cell) {
+// resumeAt keeps a reported instruction-granular cursor only while it
+// points inside the program the program cursor stands on: a report at
+// a program boundary (nil, or a cursor for an older program)
+// invalidates any earlier mid-program position.
+func resumeAt(r *ResumeCursor, cursor int) *ResumeCursor {
+	if r != nil && r.Program == cursor {
+		return r
+	}
+	return nil
+}
+
+func sameResume(a, b *ResumeCursor) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Program == b.Program && a.Cell == b.Cell && bytes.Equal(a.Snap, b.Snap)
+}
+
+// completeLocked applies a completion.
+func (c *Coordinator) completeLocked(cl *cell, rec journalRecord) {
+	delete(c.leases, rec.Lease)
+	c.completed[rec.Lease] = true
+	cl.state = cellDone
+	cl.findings = append(cl.baseFindings, rec.Findings...)
+	cl.runs = cl.baseRuns + rec.Runs
+	cl.rows = rec.Rows
+	cl.cursor = cl.end
+	if rec.Snap != nil || cl.baseSnap != nil {
+		final := &metrics.Snapshot{}
+		final.Merge(cl.baseSnap)
+		final.Merge(rec.Snap)
+		cl.snap = final
+	}
+	if rec.Snap != nil {
+		c.appendSampleLocked(rec.Ms, rec.Worker, cl, rec.Snap)
+	}
+	cl.baseSnap, cl.liveSnap = nil, nil
+	cl.resume, cl.liveResume = nil, nil
+	cl.lease, cl.worker, cl.nonce = "", "", ""
+	cl.liveFindings, cl.liveRuns = nil, 0
+}
+
+// strikeLocked counts one failure/expiry against a cell and fails the
+// whole job past the retry budget, dropping its pending cells.
+func (c *Coordinator) strikeLocked(cl *cell, msg string) {
+	cl.fails++
+	if cl.fails > c.retryLimit {
+		cl.job.failed = fmt.Sprintf("cell %d failed %d times: %s", cl.id, cl.fails, msg)
+		c.queue = slices.DeleteFunc(c.queue, func(q *cell) bool { return q.job == cl.job })
+	}
+}
+
+// requeueLocked ends a cell's lease without completing it: the lease's
+// last report folds into the committed base and the cell goes back on
+// the queue at the folded cursor.
+func (c *Coordinator) requeueLocked(cl *cell, lease string) {
+	delete(c.leases, lease)
 	cl.baseFindings = append(cl.baseFindings, cl.liveFindings...)
 	cl.baseRuns += cl.liveRuns
 	if cl.liveSnap != nil {
@@ -668,13 +644,15 @@ func (c *Coordinator) requeueLocked(cl *cell) {
 	cl.liveCursor = cl.cursor
 	cl.state = cellPending
 	cl.lease, cl.worker, cl.nonce = "", "", ""
-	c.queue = append(c.queue, cl)
+	if cl.job.failed == "" {
+		c.queue = append(c.queue, cl)
+	}
 }
 
 // appendSampleLocked pushes one time-series sample into the bounded
-// ring, evicting the oldest entry at capacity. Called on the live path
-// and from journal replay with the journaled timestamp, so a recovered
-// coordinator rebuilds the identical ring.
+// ring, evicting the oldest entry at capacity. It runs inside
+// applyLocked with the record's timestamp, so a recovered coordinator
+// rebuilds the identical ring.
 func (c *Coordinator) appendSampleLocked(ms int64, worker string, cl *cell, snap *metrics.Snapshot) {
 	s := MetricsSample{
 		Ms: ms, Worker: worker, Job: cl.job.id, Cell: cl.id,
@@ -737,8 +715,7 @@ func (c *Coordinator) Result(id string) (*JobResult, error) {
 	if !j.done() {
 		return nil, fmt.Errorf("serve: job %s is not finished", id)
 	}
-	cells := append([]*cell(nil), j.cells...)
-	sort.Slice(cells, func(a, b int) bool { return cells[a].start < cells[b].start })
+	cells := j.cellsByStart()
 	switch j.spec.Kind {
 	case "soak":
 		s := j.spec.Soak
@@ -790,11 +767,7 @@ func (c *Coordinator) Status() *Status {
 			}
 		}
 	}
-	for _, cl := range c.queue {
-		if cl.state == cellPending && cl.job.failed == "" {
-			st.QueueDepth++
-		}
-	}
+	st.QueueDepth = len(c.queue)
 	names := make([]string, 0, len(c.workers))
 	for n := range c.workers {
 		names = append(names, n)
@@ -819,9 +792,7 @@ func (c *Coordinator) Status() *Status {
 		j := c.jobs[id]
 		js := JobStatus{ID: j.id, Kind: j.spec.Kind, State: j.state(), Failed: j.failed}
 		var dedupe sig.Deduper
-		cells := append([]*cell(nil), j.cells...)
-		sort.Slice(cells, func(a, b int) bool { return cells[a].start < cells[b].start })
-		for _, cl := range cells {
+		for _, cl := range j.cellsByStart() {
 			cursor := max(cl.cursor, cl.liveCursor)
 			cs := CellStatus{
 				ID: cl.id, Start: cl.start, End: cl.end, Cursor: cursor,

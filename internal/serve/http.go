@@ -40,9 +40,12 @@ type Assignment struct {
 // inside cell-matrix position Cell of program Program, whose latest
 // drained architectural snapshot is Snap (ckpt.Encode bytes; base64 in
 // JSON). Heartbeats carry it up, requeued assignments carry it back
-// down. The coordinator journal deliberately excludes it (snapshot
-// blobs would dominate the journal), so a coordinator restart falls
-// back to program-granularity resume.
+// down. The lease's committed runs and findings already cover the
+// matrix cells before Cell, so a resumed lease always skips them; it
+// continues cell Cell from Snap when Snap decodes and reruns that cell
+// from its start otherwise. The coordinator journal keeps (Program,
+// Cell) but not Snap — snapshot blobs would dominate it — so after a
+// coordinator restart the cursor comes back without its blob.
 type ResumeCursor struct {
 	Program int    `json:"program"`
 	Cell    int    `json:"cell"`

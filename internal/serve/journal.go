@@ -108,6 +108,10 @@ func (j *Journal) append(rec journalRecord, sync bool) error {
 	if j.FailAfter > 0 && j.records >= j.FailAfter {
 		return errJournalFault
 	}
+	if r := rec.Resume; r != nil {
+		// The position is journaled; the snapshot blob is not.
+		rec.Resume = &ResumeCursor{Program: r.Program, Cell: r.Cell}
+	}
 	blob, err := json.Marshal(rec)
 	if err != nil {
 		return err
@@ -150,6 +154,10 @@ type journalRecord struct {
 	// per-cell snapshots and the coordinator's time-series ring exactly.
 	Snap *metrics.Snapshot `json:"snap,omitempty"`
 	Ms   int64             `json:"ms,omitempty"`
+	// Resume is a lease's instruction-granular cursor on hb/release
+	// records. Live records carry the snapshot blob; the journal keeps
+	// only (program, matrix cell), so it stays small.
+	Resume *ResumeCursor `json:"resume,omitempty"`
 }
 
 // Record type tags.
@@ -198,9 +206,6 @@ func (c *Coordinator) AttachJournal(j *Journal) (ReplayStats, error) {
 	if len(c.jobs) != 0 || c.journal != nil {
 		return st, fmt.Errorf("serve: AttachJournal needs a fresh coordinator")
 	}
-	c.replaying = true
-	defer func() { c.replaying = false }()
-
 	sc := bufio.NewScanner(rf)
 	sc.Buffer(make([]byte, 0, 1<<20), 256<<20)
 	line := 0
@@ -236,11 +241,7 @@ func (c *Coordinator) AttachJournal(j *Journal) (ReplayStats, error) {
 
 	st.Jobs = len(c.jobs)
 	st.LiveLeases = len(c.leases)
-	for _, cl := range c.queue {
-		if cl.state == cellPending && cl.job.failed == "" {
-			st.PendingCells++
-		}
-	}
+	st.PendingCells = len(c.queue)
 	return st, nil
 }
 
@@ -251,9 +252,26 @@ func tornTail(sc *bufio.Scanner) bool {
 	return !sc.Scan()
 }
 
-// applyLocked replays one journal record against the coordinator
-// state. It mirrors exactly what the live mutation paths do, minus
-// worker bookkeeping (worker stats are ephemeral and not journaled).
+// commitLocked makes one state transition: it journals rec, then
+// applies it through applyLocked — the same function replay runs — so
+// a live coordinator and one rebuilt from its journal cannot drift
+// apart. An append failure is remembered (JournalErr) but does not
+// block the fleet: the coordinator keeps serving from memory and the
+// operator sees the error on /api/status. Live callers validate
+// before committing, so apply never rejects their records; its errors
+// guard replay of a damaged journal.
+func (c *Coordinator) commitLocked(rec journalRecord, sync bool) {
+	if c.journal != nil {
+		if err := c.journal.append(rec, sync); err != nil && c.journalErr == nil {
+			c.journalErr = err
+		}
+	}
+	_ = c.applyLocked(rec)
+}
+
+// applyLocked is the coordinator's single state-transition function:
+// live RPCs reach it through commitLocked, journal replay record by
+// record. Worker bookkeeping is ephemeral and stays with the RPCs.
 func (c *Coordinator) applyLocked(rec journalRecord) error {
 	switch rec.T {
 	case recSubmit:
@@ -289,10 +307,9 @@ func (c *Coordinator) applyLocked(rec journalRecord) error {
 		}
 		victim.end = rec.Mid
 		j.cells = append(j.cells, stolen)
-		// The live path hands the stolen cell straight to the thief;
-		// on replay the following lease record does that. Queue it so
-		// a crash right after the steal cannot strand it (stale queue
-		// entries for non-pending cells are skipped at lease time).
+		// The lease record that follows hands the stolen cell to the
+		// thief. Queue it meanwhile so a crash between the two records
+		// cannot strand it.
 		c.queue = append(c.queue, stolen)
 	case recLease:
 		j, ok := c.jobs[rec.Job]
@@ -302,20 +319,16 @@ func (c *Coordinator) applyLocked(rec journalRecord) error {
 		if rec.Cell >= len(j.cells) {
 			return fmt.Errorf("lease cell %d out of range", rec.Cell)
 		}
-		cl := j.cells[rec.Cell]
-		c.grantLocked(cl, rec.Lease, rec.Worker, rec.Nonce)
+		c.grantLocked(j.cells[rec.Cell], rec.Lease, rec.Worker, rec.Nonce)
 		var n int
 		if _, err := fmt.Sscanf(rec.Lease, "lease-%d", &n); err == nil {
 			c.nextLease = max(c.nextLease, n)
 		}
 	case recHB:
 		if cl, ok := c.leases[rec.Lease]; ok {
-			cl.liveCursor = rec.Cursor
-			cl.liveRuns = rec.Runs
-			cl.liveFindings = rec.Findings
+			setLive(cl, rec)
 			cl.expiry = c.now().Add(c.leaseTTL)
 			if rec.Snap != nil {
-				cl.liveSnap = rec.Snap
 				c.appendSampleLocked(rec.Ms, rec.Worker, cl, rec.Snap)
 			}
 		}
@@ -324,29 +337,20 @@ func (c *Coordinator) applyLocked(rec journalRecord) error {
 		if !ok {
 			return fmt.Errorf("complete on unknown lease %q", rec.Lease)
 		}
-		c.completeLocked(cl, rec.Lease, rec.Worker, rec.Ms, rec.Runs, rec.Findings, rec.Rows, rec.Snap)
+		c.completeLocked(cl, rec)
 	case recRelease:
 		if cl, ok := c.leases[rec.Lease]; ok {
-			delete(c.leases, rec.Lease)
-			cl.liveCursor = rec.Cursor
-			cl.liveRuns = rec.Runs
-			cl.liveFindings = rec.Findings
-			if rec.Snap != nil {
-				cl.liveSnap = rec.Snap
+			setLive(cl, rec)
+			c.requeueLocked(cl, rec.Lease)
+		}
+	case recFail, recExpire:
+		if cl, ok := c.leases[rec.Lease]; ok {
+			c.requeueLocked(cl, rec.Lease)
+			msg := rec.Msg
+			if rec.T == recExpire {
+				msg = "lease expired"
 			}
-			c.requeueLocked(cl)
-		}
-	case recFail:
-		if cl, ok := c.leases[rec.Lease]; ok {
-			delete(c.leases, rec.Lease)
-			c.requeueLocked(cl)
-			c.strikeLocked(cl, rec.Msg)
-		}
-	case recExpire:
-		if cl, ok := c.leases[rec.Lease]; ok {
-			delete(c.leases, rec.Lease)
-			c.requeueLocked(cl)
-			c.strikeLocked(cl, "lease expired")
+			c.strikeLocked(cl, msg)
 		}
 	case recShutdown:
 		// Informational: the previous coordinator drained cleanly.
@@ -356,16 +360,15 @@ func (c *Coordinator) applyLocked(rec journalRecord) error {
 	return nil
 }
 
-// journalAppend appends a record unless the coordinator is replaying
-// or journal-less. An append failure is remembered (JournalErr) but
-// does not block the fleet: the coordinator keeps serving from memory
-// and the operator sees the error on /api/status.
-func (c *Coordinator) journalAppend(rec journalRecord, sync bool) {
-	if c.journal == nil || c.replaying {
-		return
-	}
-	if err := c.journal.append(rec, sync); err != nil && c.journalErr == nil {
-		c.journalErr = err
+// setLive records a lease's latest progress report (hb and release
+// records). A report without a snapshot keeps the previous one.
+func setLive(cl *cell, rec journalRecord) {
+	cl.liveCursor = rec.Cursor
+	cl.liveRuns = rec.Runs
+	cl.liveFindings = rec.Findings
+	cl.liveResume = rec.Resume
+	if rec.Snap != nil {
+		cl.liveSnap = rec.Snap
 	}
 }
 
@@ -395,7 +398,7 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 		c.mu.Unlock()
 		if live == 0 {
 			c.mu.Lock()
-			c.journalAppend(journalRecord{T: recShutdown}, true)
+			c.commitLocked(journalRecord{T: recShutdown}, true)
 			c.mu.Unlock()
 			return nil
 		}

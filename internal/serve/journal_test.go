@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/base64"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,11 +29,11 @@ func journaled(t *testing.T, c *Coordinator, dir string) *Journal {
 }
 
 // dumpState renders everything the journal must reconstruct — jobs,
-// cells, leases, idempotency maps, counters — in a deterministic
-// order. Deliberately excluded: lease expiry times (recovered leases
-// get a fresh TTL), worker bookkeeping (ephemeral, not journaled), and
-// queue order (replay conservatively re-enqueues stolen cells, so the
-// pending set matches but FIFO positions may not).
+// cells, resume cursors, leases, the pending queue in order,
+// idempotency maps, counters — in a deterministic order. Deliberately
+// excluded: lease expiry times (recovered leases get a fresh TTL),
+// worker bookkeeping (ephemeral, not journaled), and resume snapshot
+// blobs (the journal keeps only the cursor position).
 func dumpState(c *Coordinator) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -42,12 +44,14 @@ func dumpState(c *Coordinator) string {
 		fmt.Fprintf(&b, "job %s kind=%s state=%s failed=%q\n", j.id, j.spec.Kind, j.state(), j.failed)
 		for _, cl := range j.cells {
 			fmt.Fprintf(&b, "  cell %d %s [%d,%d) st=%s cursor=%d base=%d/%d live=%d/%d/%d "+
-				"fails=%d lease=%q worker=%q nonce=%q grant=%d runs=%d findings=%d rows=%d\n",
+				"fails=%d lease=%q worker=%q nonce=%q grant=%d runs=%d findings=%d rows=%d "+
+				"resume=%s liveResume=%s\n",
 				cl.id, cl.kind, cl.start, cl.end, cl.state, cl.cursor,
 				cl.baseRuns, len(cl.baseFindings),
 				cl.liveCursor, cl.liveRuns, len(cl.liveFindings),
 				cl.fails, cl.lease, cl.worker, cl.nonce, cl.grantStart,
-				cl.runs, len(cl.findings), len(cl.rows))
+				cl.runs, len(cl.findings), len(cl.rows),
+				dumpResume(cl.resume), dumpResume(cl.liveResume))
 		}
 	}
 	var leases []string
@@ -56,18 +60,11 @@ func dumpState(c *Coordinator) string {
 	}
 	sort.Strings(leases)
 	fmt.Fprintf(&b, "leases %v\n", leases)
-	pending := map[string]bool{}
+	var queue []string
 	for _, cl := range c.queue {
-		if cl.state == cellPending && cl.job.failed == "" {
-			pending[fmt.Sprintf("%s/%d", cl.job.id, cl.id)] = true
-		}
+		queue = append(queue, fmt.Sprintf("%s/%d:%s", cl.job.id, cl.id, cl.state))
 	}
-	keys := make([]string, 0, len(pending))
-	for k := range pending {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	fmt.Fprintf(&b, "pending %v\n", keys)
+	fmt.Fprintf(&b, "queue %v\n", queue)
 	var sub []string
 	for k, v := range c.submitted {
 		sub = append(sub, k+"="+v)
@@ -80,6 +77,14 @@ func dumpState(c *Coordinator) string {
 	sort.Strings(comp)
 	fmt.Fprintf(&b, "submitted %v completed %v\n", sub, comp)
 	return b.String()
+}
+
+// dumpResume renders a resume cursor's position, without its blob.
+func dumpResume(r *ResumeCursor) string {
+	if r == nil {
+		return "-"
+	}
+	return fmt.Sprintf("(%d,%d)", r.Program, r.Cell)
 }
 
 // TestJournalReplayEquivalence drives a scripted campaign — submit,
@@ -114,9 +119,11 @@ func TestJournalReplayEquivalence(t *testing.T) {
 	var snaps []snap
 	shot := func() { snaps = append(snaps, snap{j.Records(), dumpState(c)}) }
 
+	// Two configs give every program a 2-cell matrix, so resume
+	// cursors can stand between matrix cells.
 	id1, err := c.Submit(JobSpec{Kind: "soak", Soak: &SoakSpec{
 		BaseSeed: 41, Programs: 12, CellPrograms: 8,
-		Configs: []string{"slice2"}, Schedulers: []string{"event"},
+		Configs: []string{"slice2", "slice4"}, Schedulers: []string{"event"},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -130,6 +137,12 @@ func TestJournalReplayEquivalence(t *testing.T) {
 	shot()
 	c.Heartbeat(Heartbeat{Lease: a1.Lease, Worker: "w1", Cursor: 2, Runs: 2,
 		Findings: findings1(0)})
+	shot()
+	// Mid-program: inside matrix cell 1 of program 2. The lease later
+	// expires, so replay must carry this cursor through the requeue.
+	blob := []byte("mid-program-snapshot")
+	c.Heartbeat(Heartbeat{Lease: a1.Lease, Worker: "w1", Cursor: 2, Runs: 3,
+		Findings: findings1(0), Resume: &ResumeCursor{Program: 2, Cell: 1, Snap: blob}})
 	shot()
 
 	a2 := c.Lease("w2", "n2")
@@ -155,7 +168,7 @@ func TestJournalReplayEquivalence(t *testing.T) {
 		Findings: findings1(5)})
 	shot()
 	c.Release(ReleaseRequest{Lease: a3.Lease, Worker: "w3", Cursor: 6, Runs: 1,
-		Findings: findings1(5)})
+		Findings: findings1(5), Resume: &ResumeCursor{Program: 6, Cell: 1, Snap: blob}})
 	shot()
 
 	a4 := c.Lease("w4", "n4")
@@ -203,9 +216,12 @@ func TestJournalReplayEquivalence(t *testing.T) {
 	_ = id1
 	_ = id2
 
-	blob, err := os.ReadFile(j.Path())
+	raw, err := os.ReadFile(j.Path())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(base64.StdEncoding.EncodeToString(blob))) {
+		t.Fatal("journal holds a resume snapshot blob")
 	}
 	byRecords := map[int]string{}
 	for _, s := range snaps {
@@ -213,7 +229,7 @@ func TestJournalReplayEquivalence(t *testing.T) {
 	}
 	for i, off := range offsets {
 		rdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(rdir, journalFile), blob[:off], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(rdir, journalFile), raw[:off], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		rj, err := OpenJournal(rdir)

@@ -108,19 +108,13 @@ func (c *Coordinator) Metrics() *FleetMetrics {
 	if c.journalErr != nil {
 		m.JournalError = c.journalErr.Error()
 	}
-	for _, cl := range c.queue {
-		if cl.state == cellPending && cl.job.failed == "" {
-			m.QueueDepth++
-		}
-	}
+	m.QueueDepth = len(c.queue)
 
 	for _, id := range c.order {
 		j := c.jobs[id]
 		jm := JobMetrics{ID: j.id, Kind: j.spec.Kind, State: j.state()}
 		var acc *metrics.Snapshot
-		cells := append([]*cell(nil), j.cells...)
-		sort.Slice(cells, func(a, b int) bool { return cells[a].start < cells[b].start })
-		for _, cl := range cells {
+		for _, cl := range j.cellsByStart() {
 			cursor := max(cl.cursor, cl.liveCursor)
 			cm := CellMetrics{
 				ID: cl.id, Start: cl.start, End: cl.end, Cursor: cursor,

@@ -2,8 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"net/http/httptest"
 	"testing"
 	"time"
+
+	"pok/internal/check/inject"
+	"pok/internal/ckpt"
+	"pok/internal/gen"
+	"pok/internal/soak"
 )
 
 // instCkptJob submits a 1-cell soak job with instruction-granular
@@ -137,4 +145,114 @@ func TestSoakCkptErrsOnStatus(t *testing.T) {
 		}
 	}
 	t.Fatal("worker w1 not on status")
+}
+
+// TestFleetMidProgramReleaseEquivalence: a lease drain-stopped inside
+// matrix cell 1 of a program releases its cursor, and the campaign
+// still merges to the single-process report — whether the coordinator
+// restarts from its journal first (the cursor comes back without its
+// snapshot blob) or the released blob is corrupt. Either way the next
+// lease must skip matrix cell 0, which the released base already
+// counts, and rerun cell 1 from its start; rerunning the program from
+// cell 0 double-counts it.
+func TestFleetMidProgramReleaseEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet equivalence soaks real programs; skipped in -short")
+	}
+	spec := JobSpec{Kind: "soak", Soak: &SoakSpec{
+		BaseSeed: 41, Programs: 2,
+		Configs: []string{"slice2", "slice4"}, Schedulers: []string{"event"},
+		// Every cell diverges at instruction 70, after at least one
+		// snapshot at the 30-instruction cadence.
+		Hook:     &inject.Options{CorruptOn: true, CorruptAt: 70},
+		NoReduce: true, Gen: gen.Options{Fragments: 6, LoopIters: 2, MaxInsts: 2000},
+		InstCkpt: 30, CellPrograms: 2,
+	}}
+	solo, err := soak.Run(spec.Soak.Options(t.TempDir()), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	soloJSON, err := json.Marshal(solo)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		restart bool
+		corrupt bool
+	}{
+		{name: "coordinator restart", restart: true},
+		{name: "corrupt snapshot", corrupt: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c := NewCoordinator(time.Minute)
+			j := journaled(t, c, dir)
+			id, err := c.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Drive the first lease by hand up to the first snapshot of
+			// matrix cell 1, then release it there.
+			a := c.Lease("first", "")
+			if a == nil || a.Start != 0 || a.End != 2 {
+				t.Fatalf("first lease = %+v, want [0,2)", a)
+			}
+			opts := spec.Soak.Options(t.TempDir())
+			opts.StartProgram, opts.Programs = a.Start, a.End
+			var rel *ReleaseRequest
+			opts.CellCursor = func(program, cell int, rep *soak.Report, s *ckpt.Snapshot) bool {
+				if cell != 1 || rel != nil {
+					return false
+				}
+				rel = &ReleaseRequest{Lease: a.Lease, Worker: "first",
+					Cursor: program, Runs: rep.Runs,
+					Findings: append([]soak.Finding(nil), rep.Findings...),
+					Resume:   &ResumeCursor{Program: program, Cell: cell, Snap: ckpt.Encode(s)}}
+				return true
+			}
+			part, err := soak.Run(opts, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rel == nil || !part.Stopped || rel.Cursor != 0 || rel.Runs != 1 {
+				t.Fatalf("driven lease did not stop inside p0 cell 1: stopped=%v release=%+v",
+					part.Stopped, rel)
+			}
+			if tc.corrupt {
+				rel.Resume.Snap[0] ^= 0xff
+			}
+			c.Release(*rel)
+
+			if tc.restart {
+				if err := j.Close(); err != nil {
+					t.Fatal(err)
+				}
+				c = NewCoordinator(time.Minute)
+				journaled(t, c, dir)
+			}
+
+			srv := httptest.NewServer(c.Handler())
+			defer srv.Close()
+			w := &Worker{Client: NewClient(srv.URL), Name: "finisher",
+				OutDir: t.TempDir(), MaxCells: 1}
+			if err := w.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Result(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleetJSON, err := json.Marshal(res.Soak)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(soloJSON, fleetJSON) {
+				t.Fatalf("fleet report differs from the single-process run\nsolo:  %s\nfleet: %s",
+					soloJSON, fleetJSON)
+			}
+		})
+	}
 }

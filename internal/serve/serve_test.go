@@ -253,6 +253,32 @@ func TestFailRetryLimit(t *testing.T) {
 	}
 }
 
+// TestFailedJobStopsLeasing: once a job fails, a cell of it that is
+// still leased and comes back later (here through lease expiry) is not
+// queued again, so no worker is handed a cell of a failed job.
+func TestFailedJobStopsLeasing(t *testing.T) {
+	c, now := testCoordinator(time.Minute)
+	soakJob(t, c, 2, 1)
+	held := c.Lease("holder", "")
+	if held == nil {
+		t.Fatal("no lease")
+	}
+	for i := 0; i < 4; i++ {
+		a := c.Lease("w", "")
+		if a == nil {
+			t.Fatalf("attempt %d: no lease", i)
+		}
+		c.Fail(a.Lease, "w", "boom")
+	}
+	*now = now.Add(2 * time.Minute) // the holder's lease expires
+	if a := c.Lease("w", ""); a != nil {
+		t.Fatalf("leased a cell of a failed job: %+v", a)
+	}
+	if st := c.Status(); st.QueueDepth != 0 {
+		t.Fatalf("failed job left %d queued cells", st.QueueDepth)
+	}
+}
+
 // TestBenchJob: bench sweeps shard one cell per benchmark and merge
 // rows in benchmark submission order.
 func TestBenchJob(t *testing.T) {

@@ -236,18 +236,21 @@ func (w *Worker) runSoakCell(ctx context.Context, a *Assignment) error {
 	opts.Programs = a.End
 
 	prog := &cellProgress{cursor: a.Start}
-	if a.Resume != nil && a.Resume.Program == a.Start {
-		// A previous lease of this cell died mid-program; continue from
-		// its drained snapshot. An undecodable snapshot degrades to
-		// program-granularity resume rather than failing the cell.
-		if s, err := ckpt.Decode(a.Resume.Snap); err == nil {
-			opts.StartCell = a.Resume.Cell
+	if r := a.Resume; r != nil && r.Program == a.Start {
+		// A previous lease of this cell stopped mid-program, and the
+		// cell's committed runs and findings already cover the matrix
+		// cells before r.Cell: always skip those. Cell r.Cell continues
+		// from the drained snapshot when one decodes (a cursor replayed
+		// from the journal has none) and reruns from its start
+		// otherwise.
+		opts.StartCell = r.Cell
+		if s, err := ckpt.Decode(r.Snap); err == nil {
 			opts.StartSnap = s
 			w.logf("cell %s/%d resuming p%d mid-matrix at cell %d\n",
-				a.Job, a.Cell, a.Resume.Program, a.Resume.Cell)
+				a.Job, a.Cell, r.Program, r.Cell)
 		} else {
-			w.logf("cell %s/%d resume snapshot undecodable (%v); restarting p%d\n",
-				a.Job, a.Cell, err, a.Start)
+			w.logf("cell %s/%d no usable resume snapshot (%v); rerunning p%d cell %d from its start\n",
+				a.Job, a.Cell, err, r.Program, r.Cell)
 		}
 	}
 	if !w.NoMetrics {

@@ -71,6 +71,10 @@ var (
 	// ConfigLadder returns the cumulative technique ladder used by
 	// Figures 11 and 12.
 	ConfigLadder = exp.ConfigLadder
+	// ConfigByName resolves a machine name (base, simple2, simple4,
+	// slice2, slice4) to its configuration — the names every CLI's
+	// -config flag and every soak or fleet job accept.
+	ConfigByName = soak.ConfigByName
 )
 
 // Assemble translates MIPS-style assembly source into a runnable program.
