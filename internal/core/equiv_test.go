@@ -73,20 +73,11 @@ func TestEventSchedulerMatchesLegacy(t *testing.T) {
 // decoder, DTLB, bounded issue queues).
 func TestEventSchedulerMatchesLegacyConfigs(t *testing.T) {
 	const insts = 100_000
-	kitchen := BitSliced(4)
-	kitchen.Name = "kitchen-sink"
-	kitchen.WrongPath = true
-	kitchen.NarrowWidth = true
-	kitchen.SerialMul = true
-	kitchen.SumAddressed = true
-	kitchen.UseDTLB = true
-	kitchen.IssueQueueSize = 16
-
 	wp2 := BitSliced(2)
 	wp2.Name = "bit-slice-x2+wp"
 	wp2.WrongPath = true
 
-	configs := []Config{BaseConfig(), SimplePipelined(2), SimplePipelined(4), wp2, kitchen}
+	configs := []Config{BaseConfig(), SimplePipelined(2), SimplePipelined(4), wp2, kitchenSinkConfig()}
 	for _, bench := range []string{"li", "mcf", "gcc"} {
 		w := workload.MustGet(bench)
 		for _, cfg := range configs {
@@ -98,4 +89,19 @@ func TestEventSchedulerMatchesLegacyConfigs(t *testing.T) {
 			})
 		}
 	}
+}
+
+// kitchenSinkConfig is the bit-sliced slice-by-4 machine with every
+// second-order feature enabled: wrong-path execution, narrow-width,
+// serial multiplier, sum-addressed decoder, DTLB, bounded issue queues.
+func kitchenSinkConfig() Config {
+	c := BitSliced(4)
+	c.Name = "kitchen-sink"
+	c.WrongPath = true
+	c.NarrowWidth = true
+	c.SerialMul = true
+	c.SumAddressed = true
+	c.UseDTLB = true
+	c.IssueQueueSize = 16
+	return c
 }
