@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet bench perfbench-test ci check fuzz-smoke soak soak-smoke fleet-smoke chaos-smoke ckpt-smoke eval eval-quick examples loc clean
+.PHONY: all build test test-race vet bench prof perfbench-test ci check fuzz-smoke soak soak-smoke fleet-smoke chaos-smoke ckpt-smoke eval eval-quick examples loc clean
 
 all: build test
 
@@ -103,6 +103,20 @@ ckpt-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 	$(GO) run ./cmd/pok-bench -json-file BENCH_PR10.json -insts 20000
+
+# CPU profiles of the Figure 11 slice-by-2 and slice-by-4 benchmarks,
+# where the timing core's scheduler dominates: each lands in
+# .bench_build/prof/ (with the test binary that resolves its symbols)
+# and its cumulative top is printed. Under ten seconds.
+prof:
+	@mkdir -p .bench_build/prof
+	@for n in 2 4; do \
+		$(GO) test -run '^$$' -bench "^BenchmarkFigure11SliceBy$$n\$$" -benchtime 3x \
+			-cpuprofile .bench_build/prof/slice$$n.prof \
+			-o .bench_build/prof/pok.test . || exit 1; \
+		$(GO) tool pprof -top -cum -nodecount 30 .bench_build/prof/pok.test \
+			.bench_build/prof/slice$$n.prof || exit 1; \
+	done
 
 # The benchmark module's own self-test (perfbench is a separate
 # module): vet plus its tests, including the determinism guard and the

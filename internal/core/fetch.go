@@ -334,6 +334,11 @@ func (s *Sim) initEntry(e *entry) {
 		e.fullLat = 1
 	}
 	e.fullMask = uint8(1)<<e.nSlices - 1
+	if e.nSlices > 1 {
+		e.deps = s.depTab[op.SliceProfile()]
+	} else {
+		e.deps = sliceDeps{in: [8]uint8{0: s.allViews()}}
+	}
 }
 
 // sliceable reports whether the op's execution decomposes into slice-ops

@@ -96,8 +96,7 @@ func (s *Sim) checkInvariants() error {
 			if !st.started || sl == 0 {
 				continue
 			}
-			_, _, carry := e.d.Inst.Op.InputSliceRange(sl, e.nSlices)
-			if carry || !s.cfg.OoOSlices {
+			if e.deps.serial>>sl&1 != 0 {
 				prev := &e.slices[sl-1]
 				if !prev.started {
 					return s.violation("slice-order", e.seq,

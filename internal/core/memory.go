@@ -39,12 +39,12 @@ func (s *Sim) memoryStage() {
 				if e.memIssued {
 					// The load's (speculative and actual) completion
 					// times are now known: wake register dependents.
-					s.wakeConsumers(e)
+					s.wakeConsumers(e, -1)
 				}
 			}
 			if e.memIssued && e.memPendFull != pendNone {
 				if s.finalizePendingLoad(e) {
-					s.wakeConsumers(e)
+					s.wakeConsumers(e, -1)
 				}
 			}
 			if !e.memIssued || e.memPendFull != pendNone {
@@ -91,15 +91,7 @@ func (s *Sim) checkStoreData(e *entry) bool {
 	if q == nil || q.DataReady {
 		return true
 	}
-	ready := true
-	if e.dataSrc >= 0 {
-		for k := 0; k < s.cfg.Slices; k++ {
-			if s.srcAvail(e, e.dataSrc, k, false) > s.now {
-				ready = false
-				break
-			}
-		}
-	}
+	ready := e.dataSrc < 0 || s.srcAvail(e, e.dataSrc, s.allViews(), false) <= s.now
 	if ready {
 		q.DataReady = true
 		e.dataReadyC = s.now // commit attribution: when the data arrived
@@ -318,15 +310,13 @@ func (s *Sim) agenTimes(e *entry) (partial, full int64) {
 // speculative access: all base-operand slices covering the low 16 bits.
 func (s *Sim) sumAddrReady(e *entry) int64 {
 	t := e.dispC + int64(s.cfg.RFStages) + 1
-	k := s.cfg.AddrSliceFor16Bits()
+	low := uint8(1)<<(s.cfg.AddrSliceFor16Bits()+1) - 1
 	for i := 0; i < e.d.NSrc; i++ {
 		if i == e.dataSrc {
 			continue
 		}
-		for sl := 0; sl <= k; sl++ {
-			if a := s.srcAvail(e, i, sl, false); a > t {
-				t = a
-			}
+		if a := s.srcAvail(e, i, low, false); a > t {
+			t = a
 		}
 	}
 	return t

@@ -16,20 +16,26 @@ import (
 //
 //   - dispatch seeds every slice whose inputs are already determined;
 //   - a producer's slice execution (or a load establishing its completion
-//     time) walks the producer's consumer list and enqueues dependents;
-//   - a slice execution enqueues the entry's own next slice (carry chains
-//     and in-order slice issue);
+//     time) determines some of the producer's output views
+//     (changedViews); it walks the producer's consumer list and
+//     re-enqueues exactly the consumer slice-ops whose input mask
+//     (srcViews) covers one of them, so slice k's result wakes only the
+//     slices that read slice k;
+//   - a slice execution enqueues the entry's own next slice when that
+//     slice is serialized (carry chains and in-order slice issue);
 //   - a replay re-enqueues the slice-op at its retryC.
 //
 // Candidates whose speculative depsAvail is still unknown (inf — some
-// producer has not executed) are not enqueued at all; a later producer
-// event recomputes and enqueues them. Because every dependence input
-// transitions exactly once from "unknown" to a fixed time, a candidate's
-// wake time is exact when it becomes finite, so schedule() touches only
-// slice-ops that are genuinely ready this cycle (plus any left over from
-// resource contention). Ready candidates are issued in (seq, slice)
-// order, reproducing the select priority of the legacy window scan
-// cycle for cycle.
+// input has not been produced) are not enqueued at all: depsKnown tests
+// each producer's known-views mask against the slice's input mask before
+// any evaluation, and the producer event that completes the set
+// enqueues them. Because every dependence input transitions exactly once
+// from "unknown" to a fixed time, a candidate's wake time is exact when
+// it becomes finite, so schedule() touches only slice-ops that are
+// genuinely ready this cycle (plus any left over from resource
+// contention). Ready candidates are issued in (seq, slice) order,
+// reproducing the select priority of the legacy window scan cycle for
+// cycle.
 
 // cand is one wakeup-wheel candidate: slice sl of entry e becomes
 // schedulable at cycle wake. gen snapshots e.gen so candidates that
@@ -186,36 +192,77 @@ func (s *Sim) drainWheel() {
 
 // enqueueCand computes the speculative wakeup time of slice sl of e and
 // inserts it into the wheel. Candidates whose dependence set is not yet
-// determined (wake == inf) are parked: the producer event that completes
-// the set re-enqueues them.
+// determined (depsKnown fails, so depsAvail would be inf) are parked:
+// the producer event that completes the set re-enqueues them.
 func (s *Sim) enqueueCand(e *entry, sl int) {
 	st := &e.slices[sl]
-	if st.started || st.inReady || e.committed || e.squashed {
+	if st.started || st.inReady || e.committed || e.squashed || !depsKnown(e, sl) {
 		return
 	}
 	w := s.depsAvailC(e, sl, true)
-	if w >= inf {
-		return
-	}
 	s.pushWheel(cand{e: e, wake: w, seq: e.seq, gen: e.gen, sl: int32(sl)})
 }
 
-// wakeConsumers handles a producer event on p: every dependent entry's
-// memoized depsAvail is invalidated and its unstarted slice-ops are
-// (re-)enqueued now that one more input is determined.
-func (s *Sim) wakeConsumers(p *entry) {
+// wakeConsumers handles a producer event on p: slice k of p executed,
+// or (k == -1) a load established its completion time. Only the
+// consumer slice-ops that read one of the output views the event
+// determined have their memoized depsAvail invalidated and are
+// (re-)enqueued; every other slice-op's ready cycle is unchanged.
+func (s *Sim) wakeConsumers(p *entry, k int) {
+	changed := s.changedViews(p, k)
+	if changed == 0 {
+		return
+	}
+	p.views |= changed
 	for _, cr := range p.consumers {
 		c := cr.e
 		if c.gen != cr.gen || c.committed || c.squashed {
 			continue
 		}
-		c.invalidateDeps()
 		for sl := 0; sl < c.nSlices; sl++ {
-			if !c.slices[sl].started {
+			if c.startedMask>>sl&1 != 0 {
+				continue
+			}
+			var reads uint8
+			for i := 0; i < c.d.NSrc; i++ {
+				if c.srcProd[i] == p {
+					reads |= c.srcViews(i, sl)
+				}
+			}
+			if reads&changed != 0 {
+				c.depsOK[sl] = [2]bool{}
 				s.enqueueCand(c, sl)
 			}
 		}
 	}
+}
+
+// changedViews returns the mask of p's output views whose availability
+// (as srcAvail reads it) event k determines. A load's value comes from
+// its memory completion, not its address-generation slices; atomic
+// operands (no partial bypass) appear with the last slice and a narrow
+// result with its low slice; a full-width op produces every view at
+// once.
+func (s *Sim) changedViews(p *entry, k int) uint8 {
+	switch {
+	case k < 0:
+		return s.allViews()
+	case p.isLoad:
+		return 0
+	case p.nSlices == 1:
+		return s.allViews()
+	case !s.cfg.PartialBypass:
+		if k == p.nSlices-1 {
+			return s.allViews()
+		}
+		return 0
+	case p.narrow:
+		if k == 0 {
+			return s.allViews()
+		}
+		return 0
+	}
+	return 1 << k
 }
 
 // schedule pops due candidates off the wheel into the ready set, then
@@ -321,10 +368,10 @@ func (s *Sim) tryIssueSlice(e *entry, sl int) bool {
 		e.execDone = true
 		s.iqCount--
 	}
-	s.wakeConsumers(e)
+	s.wakeConsumers(e, sl)
 	// Carry chains and in-order slice issue make the next slice of this
 	// entry dependent on the one that just executed.
-	if sl+1 < e.nSlices && !e.slices[sl+1].started {
+	if e.deps.serial>>(sl+1)&1 != 0 {
 		s.enqueueCand(e, sl+1)
 	}
 	return true
@@ -409,6 +456,6 @@ func (s *Sim) tryIssueFull(e *entry) bool {
 		s.emit(telemetry.EvSliceIssue, e.seq, 0, s.criticalProducer(e, 0), 1)
 	}
 	s.onSliceExecuted(e, 0)
-	s.wakeConsumers(e)
+	s.wakeConsumers(e, 0)
 	return true
 }

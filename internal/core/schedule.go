@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"pok/internal/bitslice"
 	"pok/internal/emu"
 	"pok/internal/isa"
@@ -11,13 +13,14 @@ import (
 // Operand availability
 // ---------------------------------------------------------------------------
 
-// srcAvail returns when slice `sl` of source operand i of e becomes
-// available. announce selects the speculative (load-hit assumed) view used
-// for wakeup; the non-announce view is ground truth used at execute.
-func (s *Sim) srcAvail(e *entry, i, sl int, announce bool) int64 {
+// srcAvail returns when the slices in views (a mask) of source operand i
+// of e are all available; an empty mask reads nothing and is ready at 0.
+// announce selects the speculative (load-hit assumed) view used for
+// wakeup; the non-announce view is ground truth used at execute.
+func (s *Sim) srcAvail(e *entry, i int, views uint8, announce bool) int64 {
 	p := e.srcProd[i]
-	if p == nil {
-		return 0 // architecturally ready before dispatch
+	if p == nil || views == 0 {
+		return 0 // architecturally ready before dispatch, or not read
 	}
 	if p.isLoad {
 		if announce {
@@ -32,9 +35,10 @@ func (s *Sim) srcAvail(e *entry, i, sl int, announce bool) int64 {
 		}
 		done := st.startC + int64(p.fullLat)
 		if s.cfg.SerialMul && p.d.Inst.Op.SliceProfile() == isa.SliceSerialMul {
-			// Bit-serial product: slice sl emerges (nSlices-1-sl) cycles
-			// before the final slice, never earlier than one cycle in.
-			early := done - int64(s.cfg.Slices-1-min(sl, s.cfg.Slices-1))
+			// Bit-serial product: slice k emerges (nSlices-1-k) cycles
+			// before the final slice, never earlier than one cycle in, so
+			// the highest slice read arrives last.
+			early := done - int64(s.cfg.Slices-bits.Len8(views))
 			if early < st.startC+1 {
 				early = st.startC + 1
 			}
@@ -50,69 +54,65 @@ func (s *Sim) srcAvail(e *entry, i, sl int, announce bool) int64 {
 		}
 		return last.startC + 1
 	}
-	if sl >= p.nSlices {
-		sl = p.nSlices - 1
-	}
-	if sl > 0 && p.narrow {
+	if p.narrow {
 		// Narrow result: the upper slices are a known extension of the
 		// low slice and become available with it.
 		return p.slices[0].avail()
 	}
-	return p.slices[sl].avail()
+	if views&^p.startedMask != 0 {
+		return inf
+	}
+	t := int64(0)
+	for m := views; m != 0; m &= m - 1 {
+		if a := p.slices[bits.TrailingZeros8(m)].avail(); a > t {
+			t = a
+		}
+	}
+	return t
 }
 
-// depsAvail computes when slice sl of e can begin executing, considering
-// the slice-dependence profile, the carry chain, and in-order slice
-// issue when out-of-order slices are disabled.
+// depsAvail computes when slice sl of e can begin executing: every
+// source slice it reads (its sliceDeps input mask, adjusted for operand
+// roles by srcViews) must be available, and a serialized slice must
+// also wait for its predecessor (the carry chain, or in-order slice
+// issue when out-of-order slices are disabled).
 func (s *Sim) depsAvail(e *entry, sl int, announce bool) int64 {
 	t := e.dispC + int64(s.cfg.RFStages) + 1 // earliest possible execute
 	if st := &e.slices[sl]; st.retryC > t {
 		t = st.retryC
 	}
-	op := e.d.Inst.Op
-	if e.nSlices == 1 {
-		// Full-width: all slices of all sources.
-		for i := 0; i < e.d.NSrc; i++ {
-			for k := 0; k < s.cfg.Slices; k++ {
-				if a := s.srcAvail(e, i, k, announce); a > t {
-					t = a
-				}
-			}
-		}
-		return t
-	}
-	lo, hi, carry := op.InputSliceRange(sl, e.nSlices)
 	for i := 0; i < e.d.NSrc; i++ {
-		// A store's data operand is not consumed by the address-generation
-		// slices; it is handled by the LSQ.
-		if i == e.dataSrc {
-			continue
-		}
-		// Variable shifts additionally need slice 0 of the amount operand.
-		if i == e.amountSrc {
-			if a := s.srcAvail(e, i, 0, announce); a > t {
-				t = a
-			}
-			continue
-		}
-		for k := lo; k < hi; k++ {
-			if a := s.srcAvail(e, i, k, announce); a > t {
-				t = a
-			}
+		if a := s.srcAvail(e, i, e.srcViews(i, sl), announce); a > t {
+			t = a
 		}
 	}
-	if carry || !s.cfg.OoOSlices {
-		if sl > 0 {
-			prev := &e.slices[sl-1]
-			if !prev.started {
-				return inf
-			}
-			if a := prev.startC + 1; a > t {
-				t = a
-			}
+	if e.deps.serial>>sl&1 != 0 {
+		prev := &e.slices[sl-1]
+		if !prev.started {
+			return inf
+		}
+		if a := prev.startC + 1; a > t {
+			t = a
 		}
 	}
 	return t
+}
+
+// depsKnown reports whether every input of slice sl of e has a known
+// speculative availability: each source producer has announced every
+// view the slice reads, and a serialized slice's predecessor has
+// started. It holds exactly when depsAvail(e, sl, true) < inf, as a few
+// bit tests instead of a walk over the producers' slices.
+func depsKnown(e *entry, sl int) bool {
+	if e.deps.serial>>sl&1 != 0 && e.startedMask>>(sl-1)&1 == 0 {
+		return false
+	}
+	for i := 0; i < e.d.NSrc; i++ {
+		if p := e.srcProd[i]; p != nil && e.srcViews(i, sl)&^p.views != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // retryAt returns the cycle a replayed slice-op may try again, given the
@@ -163,43 +163,17 @@ func needsAmount(op isa.Op) bool {
 func (s *Sim) criticalProducer(e *entry, sl int) int64 {
 	bestT := int64(0)
 	bestSeq := int64(0)
-	track := func(i int, t int64) {
-		if p := e.srcProd[i]; p != nil && t > bestT {
+	for i := 0; i < e.d.NSrc; i++ {
+		p := e.srcProd[i]
+		if p == nil {
+			continue
+		}
+		if t := s.srcAvail(e, i, e.srcViews(i, sl), false); t > bestT {
 			bestT = t
 			bestSeq = int64(p.seq) + 1
 		}
 	}
-	op := e.d.Inst.Op
-	if e.nSlices == 1 {
-		for i := 0; i < e.d.NSrc; i++ {
-			mx := int64(-1)
-			for k := 0; k < s.cfg.Slices; k++ {
-				if a := s.srcAvail(e, i, k, false); a > mx {
-					mx = a
-				}
-			}
-			track(i, mx)
-		}
-		return bestSeq
-	}
-	lo, hi, carry := op.InputSliceRange(sl, e.nSlices)
-	for i := 0; i < e.d.NSrc; i++ {
-		if i == e.dataSrc {
-			continue // a store's data operand is not consumed by agen
-		}
-		if i == e.amountSrc {
-			track(i, s.srcAvail(e, i, 0, false))
-			continue
-		}
-		mx := int64(-1)
-		for k := lo; k < hi; k++ {
-			if a := s.srcAvail(e, i, k, false); a > mx {
-				mx = a
-			}
-		}
-		track(i, mx)
-	}
-	if (carry || !s.cfg.OoOSlices) && sl > 0 {
+	if e.deps.serial>>sl&1 != 0 {
 		if prev := &e.slices[sl-1]; prev.started {
 			if t := prev.startC + 1; t >= bestT && t > 0 {
 				return -1

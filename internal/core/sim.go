@@ -102,6 +102,10 @@ type entry struct {
 	// of the low slice (the NarrowWidth optimization applies).
 	narrow bool
 
+	// deps holds the slice dependences of the op (see sliceDeps), copied
+	// from the machine's per-profile table at fetch.
+	deps sliceDeps
+
 	// Wrong-path state: wp entries never commit and are squashed when
 	// their shadowing branch resolves; prevDstProd/prevDst2Prod record the
 	// rename-map entries to restore at squash. The gen snapshots detect
@@ -140,6 +144,13 @@ type entry struct {
 	retireTag uint64
 	consumers []consRef
 
+	// views is the mask of this entry's output views (the per-slice
+	// results consumers read through srcAvail) whose speculative
+	// availability is known. wakeConsumers grows it as producer events
+	// fire; enqueueCand tests consumers' input masks against it before
+	// computing a wake time.
+	views uint8
+
 	// lsqEnt points at lsqData while the op is in the LSQ, so the
 	// per-cycle store/load bookkeeping pays neither a lookup nor (since
 	// the storage is embedded in the pooled entry) a heap allocation.
@@ -153,6 +164,53 @@ type entry struct {
 	// recomputation the scan-based scheduler performed every cycle.
 	depsVal [8][2]int64
 	depsOK  [8][2]bool
+}
+
+// sliceDeps is the slice-dependence shape of one op at the machine's
+// slice count. in[sl] is the mask of source-operand slices that output
+// slice sl reads; serial has bit sl set when slice sl must also wait for
+// slice sl-1 to start (the carry chain, or in-order slice issue when
+// out-of-order slices are disabled). A full-width op reads every slice
+// of every source with its one slice-op.
+type sliceDeps struct {
+	in     [8]uint8
+	serial uint8
+}
+
+// sliceDepTable derives the sliceDeps of every slice profile at
+// cfg.Slices, once per machine.
+func sliceDepTable(cfg *Config) (tab [isa.SliceFullWidth + 1]sliceDeps) {
+	for p := range tab {
+		for sl := 0; sl < cfg.Slices; sl++ {
+			lo, hi, carry := isa.SliceProfile(p).InputSliceRange(sl, cfg.Slices)
+			tab[p].in[sl] = uint8(1)<<hi - uint8(1)<<lo
+			if sl > 0 && (carry || !cfg.OoOSlices) {
+				tab[p].serial |= 1 << sl
+			}
+		}
+	}
+	return tab
+}
+
+// srcViews returns the mask of source i's slices that slice sl of e
+// reads. A sliced store's data operand is read by the LSQ, not by
+// address generation (checkStoreData polls it); a variable shift reads
+// only slice 0 of its amount operand.
+func (e *entry) srcViews(i, sl int) uint8 {
+	if e.nSlices > 1 {
+		switch i {
+		case e.dataSrc:
+			return 0
+		case e.amountSrc:
+			return 1
+		}
+	}
+	return e.deps.in[sl]
+}
+
+// allViews is the mask of every slice of a register value.
+func (s *Sim) allViews() uint8 {
+	return uint8(1)<<s.cfg.Slices - 1
 }
 
 // consRef is one consumer registration on a producer entry. The gen
@@ -277,6 +335,9 @@ type Sim struct {
 	wpBranch  *entry
 	wpStopped bool
 
+	// depTab is sliceDepTable(&cfg), indexed by isa.SliceProfile.
+	depTab [isa.SliceFullWidth + 1]sliceDeps
+
 	// Per-cycle resource accounting.
 	aluUsed   [8]int
 	issueUsed [8]int
@@ -363,6 +424,7 @@ func newSim(cfg Config, em *emu.Emulator, maxInsts uint64) *Sim {
 		res:        Result{Config: cfg.Name},
 	}
 	s.em.SetLegacy(cfg.LegacyEmulator)
+	s.depTab = sliceDepTable(&cfg)
 	s.wh.ovMin = inf
 	if !s.legacy {
 		// Pre-back every wheel bucket with a small slice of one shared

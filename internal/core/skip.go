@@ -204,14 +204,8 @@ func (s *Sim) storeDataReadyC(e *entry) int64 {
 	if e.dataSrc < 0 {
 		return s.now // degenerate ($zero data): already marked this cycle
 	}
-	var t int64
-	for k := 0; k < s.cfg.Slices; k++ {
-		if a := s.srcAvail(e, e.dataSrc, k, false); a > t {
-			t = a
-			if t >= inf {
-				return inf
-			}
-		}
+	if t := s.srcAvail(e, e.dataSrc, s.allViews(), false); t < inf {
+		return t
 	}
-	return t
+	return inf
 }

@@ -90,15 +90,15 @@ func (o Op) NeedsSignBit() bool {
 }
 
 // InputSliceRange returns which input slices (of the op's register
-// sources) are required to produce output slice out, for a datapath split
-// into nSlices slices. Every slice profile needs a contiguous range, so
-// the requirement is returned as the half-open interval [lo, hi) — an
-// empty requirement has lo == hi. The boolean serialCarry result indicates
-// an additional dependence on the op's own previous output slice (the
-// carry chain). This is the allocation-free form the timing model's
-// per-issue dependence checks use.
-func (o Op) InputSliceRange(out, nSlices int) (lo, hi int, serialCarry bool) {
-	switch o.SliceProfile() {
+// sources) are required to produce output slice out of an op with this
+// profile, for a datapath split into nSlices slices. Every slice profile
+// needs a contiguous range, so the requirement is returned as the
+// half-open interval [lo, hi) — an empty requirement has lo == hi. The
+// boolean serialCarry result indicates an additional dependence on the
+// op's own previous output slice (the carry chain). The timing model
+// derives its per-slice dependence masks from it once per machine.
+func (p SliceProfile) InputSliceRange(out, nSlices int) (lo, hi int, serialCarry bool) {
+	switch p {
 	case SliceLogic:
 		return out, out + 1, false
 	case SliceCarry:
@@ -115,19 +115,4 @@ func (o Op) InputSliceRange(out, nSlices int) (lo, hi int, serialCarry bool) {
 	default: // SliceSerialMul, SliceFullWidth
 		return 0, nSlices, false
 	}
-}
-
-// InputSlicesFor returns InputSliceRange materialized as a slice of
-// indices (convenient in tests and offline tools; the timing model's hot
-// paths use the range form directly).
-func (o Op) InputSlicesFor(out, nSlices int) (in []int, serialCarry bool) {
-	lo, hi, carry := o.InputSliceRange(out, nSlices)
-	if lo == hi {
-		return nil, carry
-	}
-	in = make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		in = append(in, i)
-	}
-	return in, carry
 }

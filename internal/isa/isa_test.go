@@ -198,43 +198,56 @@ func TestSliceProfiles(t *testing.T) {
 	}
 }
 
-func TestInputSlicesFor(t *testing.T) {
-	// Carry chain: slice 2 of an add needs input slice 2 plus the carry.
-	in, carry := OpADDU.InputSlicesFor(2, 4)
-	if len(in) != 1 || in[0] != 2 || !carry {
-		t.Fatalf("add slice 2: got %v carry=%v", in, carry)
+func TestInputSliceRange(t *testing.T) {
+	type rng struct {
+		lo, hi int
+		carry  bool
 	}
-	in, carry = OpADDU.InputSlicesFor(0, 4)
-	if len(in) != 1 || in[0] != 0 || carry {
-		t.Fatalf("add slice 0: got %v carry=%v", in, carry)
+	// want[profile][nSlices] lists the requirement of each output slice.
+	want := map[SliceProfile]map[int][]rng{
+		SliceLogic: {
+			2: {{0, 1, false}, {1, 2, false}},
+			4: {{0, 1, false}, {1, 2, false}, {2, 3, false}, {3, 4, false}},
+		},
+		SliceCarry: {
+			2: {{0, 1, false}, {1, 2, true}},
+			4: {{0, 1, false}, {1, 2, true}, {2, 3, true}, {3, 4, true}},
+		},
+		SliceCompareLow: {
+			2: {{0, 2, false}, {0, 0, false}},
+			4: {{0, 4, false}, {0, 0, false}, {0, 0, false}, {0, 0, false}},
+		},
+		SliceShiftLeft: {
+			2: {{0, 1, false}, {0, 2, false}},
+			4: {{0, 1, false}, {0, 2, false}, {0, 3, false}, {0, 4, false}},
+		},
+		SliceShiftRight: {
+			2: {{0, 2, false}, {1, 2, false}},
+			4: {{0, 4, false}, {1, 4, false}, {2, 4, false}, {3, 4, false}},
+		},
+		SliceSerialMul: {
+			2: {{0, 2, false}, {0, 2, false}},
+			4: {{0, 4, false}, {0, 4, false}, {0, 4, false}, {0, 4, false}},
+		},
+		SliceFullWidth: {
+			2: {{0, 2, false}, {0, 2, false}},
+			4: {{0, 4, false}, {0, 4, false}, {0, 4, false}, {0, 4, false}},
+		},
 	}
-	// Logic: only the matching slice.
-	in, carry = OpXOR.InputSlicesFor(3, 4)
-	if len(in) != 1 || in[0] != 3 || carry {
-		t.Fatalf("xor slice 3: got %v carry=%v", in, carry)
-	}
-	// slt: slice 0 needs everything, upper slices nothing.
-	in, _ = OpSLT.InputSlicesFor(0, 4)
-	if len(in) != 4 {
-		t.Fatalf("slt slice 0: got %v", in)
-	}
-	in, _ = OpSLT.InputSlicesFor(1, 4)
-	if len(in) != 0 {
-		t.Fatalf("slt slice 1: got %v", in)
-	}
-	// Left shift: slice s needs slices 0..s; right shift s..N-1.
-	in, _ = OpSLL.InputSlicesFor(2, 4)
-	if len(in) != 3 {
-		t.Fatalf("sll slice 2: got %v", in)
-	}
-	in, _ = OpSRL.InputSlicesFor(2, 4)
-	if len(in) != 2 || in[0] != 2 || in[1] != 3 {
-		t.Fatalf("srl slice 2: got %v", in)
-	}
-	// Full width ops need all slices for every output slice.
-	in, _ = OpDIV.InputSlicesFor(1, 2)
-	if len(in) != 2 {
-		t.Fatalf("div slice 1: got %v", in)
+	for p := SliceLogic; p <= SliceFullWidth; p++ {
+		for _, n := range []int{2, 4} {
+			rs, ok := want[p][n]
+			if !ok || len(rs) != n {
+				t.Fatalf("profile %d x%d: table incomplete", p, n)
+			}
+			for out, w := range rs {
+				lo, hi, carry := p.InputSliceRange(out, n)
+				if lo != w.lo || hi != w.hi || carry != w.carry {
+					t.Errorf("profile %d x%d slice %d: got [%d,%d) carry=%v, want [%d,%d) carry=%v",
+						p, n, out, lo, hi, carry, w.lo, w.hi, w.carry)
+				}
+			}
+		}
 	}
 }
 
