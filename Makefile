@@ -105,17 +105,19 @@ bench:
 	$(GO) run ./cmd/pok-bench -json-file BENCH_PR10.json -insts 20000
 
 # CPU profiles of the Figure 11 slice-by-2 and slice-by-4 benchmarks,
-# where the timing core's scheduler dominates: each lands in
-# .bench_build/prof/ (with the test binary that resolves its symbols)
-# and its cumulative top is printed. Under ten seconds.
+# where the timing core's scheduler dominates, and of the checkpointed
+# soak campaign a fleet worker runs (oracle, invariant checker and
+# snapshot capture): each lands in .bench_build/prof/ (with the test
+# binary that resolves its symbols) and its cumulative top is printed.
+# Under fifteen seconds.
 prof:
 	@mkdir -p .bench_build/prof
-	@for n in 2 4; do \
-		$(GO) test -run '^$$' -bench "^BenchmarkFigure11SliceBy$$n\$$" -benchtime 3x \
-			-cpuprofile .bench_build/prof/slice$$n.prof \
+	@for b in Figure11SliceBy2 Figure11SliceBy4 SoakCheckpointed; do \
+		$(GO) test -run '^$$' -bench "^Benchmark$$b\$$" -benchtime 3x \
+			-cpuprofile .bench_build/prof/$$b.prof \
 			-o .bench_build/prof/pok.test . || exit 1; \
 		$(GO) tool pprof -top -cum -nodecount 30 .bench_build/prof/pok.test \
-			.bench_build/prof/slice$$n.prof || exit 1; \
+			.bench_build/prof/$$b.prof || exit 1; \
 	done
 
 # The benchmark module's own self-test (perfbench is a separate

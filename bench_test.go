@@ -9,10 +9,13 @@ import (
 	"pok/internal/bitslice"
 	"pok/internal/bpred"
 	"pok/internal/cache"
+	"pok/internal/ckpt"
 	"pok/internal/core"
 	"pok/internal/emu"
 	"pok/internal/exp"
 	"pok/internal/lsq"
+	"pok/internal/metrics"
+	"pok/internal/soak"
 	"pok/internal/workload"
 )
 
@@ -122,6 +125,34 @@ func BenchmarkFigure11SliceBy2(b *testing.B) { benchFigure11(b, 2) }
 
 // BenchmarkFigure11SliceBy4 regenerates the slice-by-4 IPC stacks.
 func BenchmarkFigure11SliceBy4(b *testing.B) { benchFigure11(b, 4) }
+
+// BenchmarkSoakCheckpointed runs a checked soak campaign the way a fleet
+// worker does: four generated programs over the default config ×
+// scheduler matrix, metrics on, a drained snapshot every 256
+// instructions, and a CellCursor hook that holds each snapshot as the
+// worker holds its resume cursor. It is the soak-side counterpart of the
+// Figure 11 benchmarks for `make prof`.
+func BenchmarkSoakCheckpointed(b *testing.B) {
+	opts := soak.Options{
+		BaseSeed: 901, Programs: 4, CkptInsts: 256, NoReduce: true,
+		OutDir:   b.TempDir(),
+		Snapshot: func(int, *metrics.Snapshot) {},
+	}
+	var held *ckpt.Snapshot
+	opts.CellCursor = func(_, _ int, _ *soak.Report, s *ckpt.Snapshot) bool {
+		held = s
+		return false
+	}
+	for i := 0; i < b.N; i++ {
+		rep, err := soak.Run(opts, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rep.Findings) > 0 || held == nil {
+			b.Fatalf("campaign: %d findings, snapshot held: %v", len(rep.Findings), held != nil)
+		}
+	}
+}
 
 // BenchmarkFigure12 derives the per-technique speedup breakdown from a
 // Figure 11 run and reports the contribution of the newly proposed

@@ -128,6 +128,11 @@ func IsTruncated(err error) bool {
 // immediately before each capture: true means the snapshot must carry
 // the full memory image (first snapshot, or a periodic rebase point);
 // false permits a dirty-page delta against the previous snapshot.
+//
+// Write receives a snapshot that shares no memory with the running
+// machine: its pages, predictor, cache and TLB arrays and opaque
+// sections are fresh copies. A sink may therefore hold it, and encode
+// it later or never, while the run goes on.
 type Sink interface {
 	WantFull() bool
 	Write(*Snapshot) error

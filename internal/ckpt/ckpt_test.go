@@ -114,6 +114,20 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// TestEncodeAllocatesOnce: Encode writes every section in place into a
+// single buffer allocated at the output's exact size.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	for _, delta := range []bool{false, true} {
+		s := sampleSnapshot(delta)
+		if out := ckpt.Encode(s); len(out) != cap(out) {
+			t.Errorf("delta=%v: %d bytes in a %d-byte buffer", delta, len(out), cap(out))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { ckpt.Encode(s) }); allocs != 1 {
+			t.Errorf("delta=%v: Encode allocates %.1f times, want 1", delta, allocs)
+		}
+	}
+}
+
 // TestDecodeTruncatedAtEveryPrefix cuts the file at every byte offset:
 // each prefix must decode to a *TruncatedError — the tolerated
 // crash-mid-write shape — never a panic, success, or misclassification

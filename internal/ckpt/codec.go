@@ -2,7 +2,7 @@ package ckpt
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"pok/internal/bpred"
 	"pok/internal/cache"
@@ -48,6 +48,18 @@ func fnv64a(b []byte) uint64 {
 	return h
 }
 
+// fnv64aU64 folds v's eight little-endian bytes into the running fnv64a
+// h: the END section's hash over every section hash, without buffering
+// them.
+func fnv64aU64(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime
+		v >>= 8
+	}
+	return h
+}
+
 // writer is a little-endian append buffer.
 type writer struct{ b []byte }
 
@@ -59,7 +71,28 @@ func (w *writer) bytes(v []byte) {
 	w.u32(uint32(len(v)))
 	w.b = append(w.b, v...)
 }
-func (w *writer) str(s string) { w.bytes([]byte(s)) }
+func (w *writer) str(s string) {
+	w.u32(uint32(len(s)))
+	w.b = append(w.b, s...)
+}
+
+// open starts a section in place: its tag and a length placeholder that
+// seal patches once the payload is written.
+func (w *writer) open(tag string) int {
+	w.b = append(w.b, tag...)
+	w.u32(0)
+	return len(w.b)
+}
+
+// seal closes the section whose payload starts at start: it patches the
+// length, appends the payload hash and returns it.
+func (w *writer) seal(start int) uint64 {
+	payload := w.b[start:]
+	binary.LittleEndian.PutUint32(w.b[start-4:], uint32(len(payload)))
+	h := fnv64a(payload)
+	w.u64(h)
+	return h
+}
 
 // reader is a bounds-checked little-endian cursor over one section
 // payload. The first out-of-bounds read latches bad=true and every
@@ -141,64 +174,105 @@ func (r *reader) count(elemSize int) int {
 
 // Encode serializes a snapshot. The encoding is deterministic: section
 // order is fixed, extras sort by name, and every slice is
-// length-prefixed — the same state always yields the same bytes.
+// length-prefixed — the same state always yields the same bytes. Every
+// section is written in place into one buffer allocated at its final
+// size.
 func Encode(s *Snapshot) []byte {
-	var out writer
+	out := writer{b: make([]byte, 0, encodedSize(s))}
 	out.b = append(out.b, fileMagic[:]...)
 	out.u32(Version)
 
-	var hashes writer
-	section := func(tag string, payload []byte) {
-		out.b = append(out.b, tag...)
-		out.bytes(payload)
-		h := fnv64a(payload)
-		out.u64(h)
-		hashes.u64(h)
-	}
+	sum := uint64(fnvOffset) // fnv64a over every section hash, in order
+	seal := func(start int) { sum = fnv64aU64(sum, out.seal(start)) }
 
-	section(tagMeta, encodeMeta(&s.Meta))
+	at := out.open(tagMeta) // start of the open section's payload
+	encodeMeta(&out, &s.Meta)
+	seal(at)
 	if s.Emu != nil {
-		section(tagEmu, encodeEmu(s.Emu))
+		at = out.open(tagEmu)
+		encodeEmu(&out, s.Emu)
+		seal(at)
 	}
 	if s.Bpred != nil {
-		section(tagBpred, encodeBpred(s.Bpred))
+		at = out.open(tagBpred)
+		encodeBpred(&out, s.Bpred)
+		seal(at)
 	}
 	if s.Hier != nil {
-		var w writer
-		encodeCache(&w, s.Hier.L1I)
-		encodeCache(&w, s.Hier.L1D)
-		encodeCache(&w, s.Hier.L2)
-		section(tagHier, w.b)
+		at = out.open(tagHier)
+		encodeCache(&out, s.Hier.L1I)
+		encodeCache(&out, s.Hier.L1D)
+		encodeCache(&out, s.Hier.L2)
+		seal(at)
 	}
 	if s.DTLB != nil {
-		var w writer
-		encodeTLB(&w, s.DTLB)
-		section(tagDTLB, w.b)
+		at = out.open(tagDTLB)
+		encodeTLB(&out, s.DTLB)
+		seal(at)
 	}
 	if s.Core != nil {
-		section(tagCore, s.Core)
+		at = out.open(tagCore)
+		out.b = append(out.b, s.Core...)
+		seal(at)
 	}
-	names := make([]string, 0, len(s.Extra))
+	var nameBuf [4]string // the core contributes at most two extras
+	names := nameBuf[:0]
 	for name := range s.Extra {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, name := range names {
-		var w writer
-		w.str(name)
-		w.bytes(s.Extra[name])
-		section(tagExtra, w.b)
+		at = out.open(tagExtra)
+		out.str(name)
+		out.bytes(s.Extra[name])
+		seal(at)
 	}
 
 	// END: its payload is the hash of all section hashes, so any
 	// reordering or replacement of a whole section (with a forged
 	// per-section hash) is still caught.
-	var end writer
-	end.u64(fnv64a(hashes.b))
-	out.b = append(out.b, endTag...)
-	out.bytes(end.b)
-	out.u64(fnv64a(end.b))
+	at = out.open(endTag)
+	out.u64(sum)
+	out.seal(at)
 	return out.b
+}
+
+// encodedSize is the exact length of Encode(s), so Encode allocates its
+// output once. It mirrors the encoders below field by field;
+// TestEncodeAllocatesOnce fails when the two drift apart.
+func encodedSize(s *Snapshot) int {
+	const section = 4 + 4 + 8 // tag, length, hash
+	str := func(v string) int { return 4 + len(v) }
+	n := 8 + section + 8 // header; END and its summary hash
+	m := &s.Meta
+	n += section + str(m.Benchmark) + str(m.Config) + str(m.Scheduler) + str(m.Emulator) +
+		4*8 + str(m.BaseFile)
+	if st := s.Emu; st != nil {
+		n += section + 4 + 4*len(st.Regs) + 4 + 1 + 4 + 8 + 4 + str(st.Output) +
+			4 + 4*len(st.Inputs) + 1 + 4 + 4 + 1 + 4 + len(st.Pages)*(4+emu.PageSize)
+	}
+	if st := s.Bpred; st != nil {
+		n += section + str(st.DirKind) + 4 + len(st.DirTable) + 4 + 2*len(st.DirHist) +
+			3*4 + 4 + len(st.BTBValid) + 4*len(st.BTBTag) + 4*len(st.BTBTarget) +
+			8*len(st.BTBLRU) + 8 + 4 + 4*len(st.RASStack) + 2*4 + 2*8
+	}
+	if h := s.Hier; h != nil {
+		n += section
+		for _, st := range []*cache.CacheState{h.L1I, h.L1D, h.L2} {
+			n += 2*4 + 4 + len(st.Valid) + 4 + len(st.Dirty) + 4*len(st.Tag) +
+				8*len(st.LRU) + 4*len(st.MRU) + 5*8
+		}
+	}
+	if st := s.DTLB; st != nil {
+		n += section + 2*4 + 4 + len(st.Valid) + 4*len(st.Tag) + 8*len(st.LRU) + 3*8
+	}
+	if s.Core != nil {
+		n += section + len(s.Core)
+	}
+	for name, v := range s.Extra {
+		n += section + str(name) + 4 + len(v)
+	}
+	return n
 }
 
 // Decode parses and verifies a snapshot, classifying damage as
@@ -216,7 +290,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	}
 
 	s := &Snapshot{}
-	var hashes writer
+	sum := uint64(fnvOffset) // fnv64a over every section hash, in order
 	seen := map[string]bool{}
 	off := 8
 	for {
@@ -249,12 +323,12 @@ func Decode(data []byte) (*Snapshot, error) {
 			if !r.done() {
 				return nil, &CorruptError{Section: endTag, Reason: "malformed payload"}
 			}
-			if fnv64a(hashes.b) != want {
+			if sum != want {
 				return nil, &CorruptError{Section: endTag, Reason: "section-hash summary mismatch"}
 			}
 			break
 		}
-		hashes.u64(h)
+		sum = fnv64aU64(sum, h)
 		if seen[tag] && tag != tagExtra {
 			return nil, &CorruptError{Section: tag, Reason: "duplicate section"}
 		}
@@ -324,8 +398,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-func encodeMeta(m *Meta) []byte {
-	var w writer
+func encodeMeta(w *writer, m *Meta) {
 	w.str(m.Benchmark)
 	w.str(m.Config)
 	w.str(m.Scheduler)
@@ -335,7 +408,6 @@ func encodeMeta(m *Meta) []byte {
 	w.u64(m.ID)
 	w.u64(m.BaseID)
 	w.str(m.BaseFile)
-	return w.b
 }
 
 func decodeMeta(b []byte, m *Meta) error {
@@ -355,8 +427,7 @@ func decodeMeta(b []byte, m *Meta) error {
 	return nil
 }
 
-func encodeEmu(st *emu.State) []byte {
-	var w writer
+func encodeEmu(w *writer, st *emu.State) {
 	w.u32(uint32(len(st.Regs)))
 	for _, v := range st.Regs {
 		w.u32(v)
@@ -380,7 +451,6 @@ func encodeEmu(st *emu.State) []byte {
 		w.u32(pg.Num)
 		w.b = append(w.b, pg.Data...)
 	}
-	return w.b
 }
 
 func decodeEmu(b []byte) (*emu.State, error) {
@@ -431,8 +501,7 @@ func decodeEmu(b []byte) (*emu.State, error) {
 	return st, nil
 }
 
-func encodeBpred(st *bpred.State) []byte {
-	var w writer
+func encodeBpred(w *writer, st *bpred.State) {
 	w.str(st.DirKind)
 	w.bytes(st.DirTable)
 	w.u32(uint32(len(st.DirHist)))
@@ -461,7 +530,6 @@ func encodeBpred(st *bpred.State) []byte {
 	w.u32(uint32(st.RASCount))
 	w.u64(st.CondBranches)
 	w.u64(st.CondMispred)
-	return w.b
 }
 
 func decodeBpred(b []byte) (*bpred.State, error) {

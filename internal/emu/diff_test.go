@@ -210,6 +210,18 @@ func TestStepZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestWriteBlockZeroAlloc: a block write into pages that already exist
+// allocates nothing, however many pages it spans.
+func TestWriteBlockZeroAlloc(t *testing.T) {
+	m := emu.NewMemory()
+	data := make([]byte, 3*emu.PageSize)
+	m.WriteBlock(0x10000ffd, data)
+	allocs := testing.AllocsPerRun(100, func() { m.WriteBlock(0x10000ffd, data) })
+	if allocs != 0 {
+		t.Fatalf("WriteBlock into existing pages allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // TestRunVisitorAllocs: a visited Run reuses one record, so its
 // allocations are a per-call constant rather than one per instruction.
 func TestRunVisitorAllocs(t *testing.T) {

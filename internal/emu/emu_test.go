@@ -66,6 +66,72 @@ func TestMemoryBytesAndCString(t *testing.T) {
 	}
 }
 
+// TestBlockCopyMatchesByteLoop: WriteBlock and ReadBlock behave exactly
+// like Write8 and Read8 loops (same bytes, same materialized pages, same
+// dirty flags) across page boundaries and the wrap past 0xFFFFFFFF.
+func TestBlockCopyMatchesByteLoop(t *testing.T) {
+	cases := []struct {
+		name string
+		addr uint32
+		n    int
+	}{
+		{"empty", 0x2000, 0},
+		{"within one page", 0x2010, 100},
+		{"ends on a page boundary", 0x2f00, 0x100},
+		{"spans three pages unaligned", 0x2ffd, 2*pageSize + 9},
+		{"wraps at 0xFFFFFFFF", 0xfffffff0, 0x20},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			data := make([]byte, c.n)
+			for i := range data {
+				data[i] = byte(i*7 + 1)
+			}
+			// Each memory starts with two clean pages, the block's first
+			// and the one below it, so the dirty flags show exactly which
+			// pages the write touched.
+			setup := func() *Memory {
+				m := NewMemory()
+				m.Write8(c.addr, 0x55)
+				m.Write8(c.addr-pageSize, 0x66)
+				m.clearDirty()
+				return m
+			}
+			block, loop := setup(), setup()
+			block.WriteBlock(c.addr, data)
+			for i, b := range data {
+				loop.Write8(c.addr+uint32(i), b)
+			}
+			if len(block.pages) != len(loop.pages) {
+				t.Fatalf("%d pages, byte loop has %d", len(block.pages), len(loop.pages))
+			}
+			for pn, lp := range loop.pages {
+				bp := block.pages[pn]
+				switch {
+				case bp == nil:
+					t.Fatalf("page %#x missing", pn)
+				case bp.dirty != lp.dirty:
+					t.Errorf("page %#x dirty = %v, byte loop %v", pn, bp.dirty, lp.dirty)
+				case bp.data != lp.data:
+					t.Errorf("page %#x contents differ from the byte loop", pn)
+				}
+			}
+			// Read a window reaching two pages past the block on each side,
+			// so it covers materialized and unmaterialized pages alike.
+			start, n := c.addr-2*pageSize, c.n+4*pageSize
+			got := block.ReadBlock(start, n)
+			if len(got) != n {
+				t.Fatalf("ReadBlock returned %d bytes, want %d", len(got), n)
+			}
+			for i, b := range got {
+				if want := block.Read8(start + uint32(i)); b != want {
+					t.Fatalf("ReadBlock byte %d at %#x = %#x, Read8 %#x", i, start+uint32(i), b, want)
+				}
+			}
+		})
+	}
+}
+
 // buildProg encodes a list of instructions at the default text base and
 // returns a runnable program.
 func buildProg(t *testing.T, insts ...isa.Inst) *Program {

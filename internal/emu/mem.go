@@ -107,18 +107,30 @@ func (m *Memory) Write32(addr uint32, v uint32) {
 	m.Write16(addr+2, uint16(v>>16))
 }
 
-// WriteBlock copies data into memory starting at addr.
+// WriteBlock copies data into memory starting at addr, one page-sized
+// chunk per page lookup. Each page it touches is created if needed and
+// marked dirty, as a Write8 loop would; addresses wrap past 0xFFFFFFFF.
 func (m *Memory) WriteBlock(addr uint32, data []byte) {
-	for i, b := range data {
-		m.Write8(addr+uint32(i), b)
+	for len(data) > 0 {
+		p := m.page(addr, true)
+		p.dirty = true
+		n := copy(p.data[addr&pageMask:], data)
+		data = data[n:]
+		addr += uint32(n)
 	}
 }
 
-// ReadBlock copies n bytes starting at addr into a fresh slice.
+// ReadBlock copies n bytes starting at addr into a fresh slice, one
+// page-sized chunk per page lookup; unmaterialized pages read as zero.
 func (m *Memory) ReadBlock(addr uint32, n int) []byte {
 	out := make([]byte, n)
-	for i := range out {
-		out[i] = m.Read8(addr + uint32(i))
+	for rest := out; len(rest) > 0; {
+		k := min(len(rest), pageSize-int(addr&pageMask))
+		if p := m.page(addr, false); p != nil {
+			copy(rest[:k], p.data[addr&pageMask:])
+		}
+		rest = rest[k:]
+		addr += uint32(k)
 	}
 	return out
 }

@@ -40,7 +40,8 @@ type Assignment struct {
 // inside cell-matrix position Cell of program Program, whose latest
 // drained architectural snapshot is Snap (ckpt.Encode bytes; base64 in
 // JSON). Heartbeats carry it up, requeued assignments carry it back
-// down. The lease's committed runs and findings already cover the
+// down. The worker holds drained snapshots unencoded and builds Snap
+// only when a heartbeat or release sends the cursor. The lease's committed runs and findings already cover the
 // matrix cells before Cell, so a resumed lease always skips them; it
 // continues cell Cell from Snap when Snap decodes and reruns that cell
 // from its start otherwise. The coordinator journal keeps (Program,

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -168,14 +167,7 @@ func TestFleetMidProgramReleaseEquivalence(t *testing.T) {
 		NoReduce: true, Gen: gen.Options{Fragments: 6, LoopIters: 2, MaxInsts: 2000},
 		InstCkpt: 30, CellPrograms: 2,
 	}}
-	solo, err := soak.Run(spec.Soak.Options(t.TempDir()), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	soloJSON, err := json.Marshal(solo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	soloJSON, _ := soloReport(t, spec.Soak)
 
 	for _, tc := range []struct {
 		name    string
@@ -241,15 +233,7 @@ func TestFleetMidProgramReleaseEquivalence(t *testing.T) {
 			if err := w.Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			res, err := c.Result(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fleetJSON, err := json.Marshal(res.Soak)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(soloJSON, fleetJSON) {
+			if fleetJSON := fleetReport(t, c, id); !bytes.Equal(soloJSON, fleetJSON) {
 				t.Fatalf("fleet report differs from the single-process run\nsolo:  %s\nfleet: %s",
 					soloJSON, fleetJSON)
 			}

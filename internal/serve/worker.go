@@ -159,6 +159,10 @@ func (w *Worker) runCell(ctx context.Context, a *Assignment) error {
 	}
 }
 
+// encodeSnapshot serializes a held resume snapshot; swapped by the
+// lazy-encoding tests to count encodes.
+var encodeSnapshot = ckpt.Encode
+
 // cellProgress is the shared progress snapshot the per-program hook
 // writes and the keepalive ticker reads.
 type cellProgress struct {
@@ -170,10 +174,31 @@ type cellProgress struct {
 	// snapshot hook. The clone is owned by this struct and read-only
 	// from here on, so sharing the pointer across heartbeats is safe.
 	snap *metrics.Snapshot
-	// resume is the instruction-granular position inside the program
+	// mid is the instruction-granular position inside the program
 	// `cursor` stands on (InstCkpt jobs only); cleared at every program
-	// boundary.
-	resume *ResumeCursor
+	// boundary. It holds the drained snapshot unencoded: most are
+	// superseded before any heartbeat carries them.
+	mid *midCursor
+}
+
+// midCursor is a drained mid-program snapshot and its (program, matrix
+// cell) position. The snapshot shares no memory with the running
+// machine (see ckpt.Sink), so it can be encoded later, outside any
+// lock; resume encodes it once, on the first heartbeat or release that
+// sends it, and every later send reuses the bytes.
+type midCursor struct {
+	program, cell int
+	snap          *ckpt.Snapshot
+
+	once sync.Once
+	rc   *ResumeCursor
+}
+
+func (m *midCursor) resume() *ResumeCursor {
+	m.once.Do(func() {
+		m.rc = &ResumeCursor{Program: m.program, Cell: m.cell, Snap: encodeSnapshot(m.snap)}
+	})
+	return m.rc
 }
 
 func (p *cellProgress) set(cursor, runs int, findings []soak.Finding) {
@@ -182,19 +207,19 @@ func (p *cellProgress) set(cursor, runs int, findings []soak.Finding) {
 	p.cursor = cursor
 	p.runs = runs
 	p.findings = append([]soak.Finding(nil), findings...)
-	p.resume = nil
+	p.mid = nil
 }
 
 // setMid publishes a mid-program position: the campaign is inside
-// program r.Program (which becomes the cursor — it is not complete),
-// and r carries the drained snapshot to resume it from.
-func (p *cellProgress) setMid(runs int, findings []soak.Finding, r *ResumeCursor) {
+// matrix cell `cell` of program `program` (which becomes the cursor —
+// it is not complete), and s is the drained snapshot to resume it from.
+func (p *cellProgress) setMid(runs int, findings []soak.Finding, program, cell int, s *ckpt.Snapshot) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.cursor = r.Program
+	p.cursor = program
 	p.runs = runs
 	p.findings = append([]soak.Finding(nil), findings...)
-	p.resume = r
+	p.mid = &midCursor{program: program, cell: cell, snap: s}
 }
 
 func (p *cellProgress) setSnap(snap *metrics.Snapshot) {
@@ -209,16 +234,30 @@ func (p *cellProgress) snapshot() *metrics.Snapshot {
 	return p.snap
 }
 
-func (p *cellProgress) heartbeat(lease, worker string) Heartbeat {
+// program reports the cursor without building a heartbeat.
+func (p *cellProgress) program() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return Heartbeat{
+	return p.cursor
+}
+
+// heartbeat assembles the report to send. A mid-program snapshot is
+// encoded after the lock is released, so the soak hook never waits on
+// an encode.
+func (p *cellProgress) heartbeat(lease, worker string) Heartbeat {
+	p.mu.Lock()
+	hb := Heartbeat{
 		Lease: lease, Worker: worker,
 		Cursor: p.cursor, Runs: p.runs,
 		Findings: append([]soak.Finding(nil), p.findings...),
 		Snapshot: p.snap,
-		Resume:   p.resume,
 	}
+	mid := p.mid
+	p.mu.Unlock()
+	if mid != nil {
+		hb.Resume = mid.resume()
+	}
+	return hb
 }
 
 func (w *Worker) runSoakCell(ctx context.Context, a *Assignment) error {
@@ -280,8 +319,7 @@ func (w *Worker) runSoakCell(ctx context.Context, a *Assignment) error {
 		// keepalive ticker carries the cursor upward; no synchronous
 		// RPC here, snapshots are too frequent for that.
 		opts.CellCursor = func(program, cell int, rep *soak.Report, s *ckpt.Snapshot) bool {
-			prog.setMid(rep.Runs, rep.Findings,
-				&ResumeCursor{Program: program, Cell: cell, Snap: ckpt.Encode(s)})
+			prog.setMid(rep.Runs, rep.Findings, program, cell, s)
 			return abandoned.Load() || ctx.Err() != nil
 		}
 	}
@@ -428,7 +466,7 @@ func (w *Worker) runSoakCell(ctx context.Context, a *Assignment) error {
 		// mid-program.
 		w.releaseCell(a, prog)
 		w.logf("cell %s/%d released mid-program at p%d (drain)\n",
-			a.Job, a.Cell, prog.heartbeat("", "").Cursor)
+			a.Job, a.Cell, prog.program())
 	default:
 		final := int(end.Load())
 		cErr := w.Client.Complete(CellResult{
