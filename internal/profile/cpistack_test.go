@@ -42,6 +42,18 @@ func runProfiled(t *testing.T, bench string, cfg core.Config, insts uint64) (*co
 	return r, lc
 }
 
+// profiledStack runs bench under cfg and returns its Result and the CPI
+// stack built from the run's complete event stream.
+func profiledStack(t *testing.T, bench string, cfg core.Config, insts uint64) (*core.Result, *profile.CPIStack) {
+	t.Helper()
+	r, lc := runProfiled(t, bench, cfg, insts)
+	st, err := lc.Stack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, st
+}
+
 func runPlain(t *testing.T, bench string, cfg core.Config, insts uint64) *core.Result {
 	t.Helper()
 	w := workload.MustGet(bench)
