@@ -10,9 +10,10 @@
 //
 // -telemetry prints the per-stage occupancy/stall summary after the
 // run; -events writes the structured pipeline event stream as JSONL
-// with a self-describing meta header (render it with pok-trace,
-// analyse it with pok-prof); -prof chains the cycle-accounting
-// profiler onto the recorder and prints the run's CPI stack.
+// with a self-describing meta header (analyse or render it with
+// pok-prof); -prof streams the run through the CPI-stack accountant
+// and prints the stack, and makes an -events dump keep every event
+// unless -events-cap bounds it.
 //
 // Long runs are crash-safe: -ckpt-every drains the pipeline every N
 // committed instructions and writes a verified architectural snapshot
@@ -29,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -73,18 +75,19 @@ func main() {
 		cfg.Trace = os.Stderr
 	}
 	var rec *pok.TelemetryRecorder
-	if *telemetry || *events != "" || *prof {
+	if *telemetry || *events != "" {
+		if *prof && *events != "" && *ringCap == 0 {
+			*ringCap = math.MaxInt // a profiled dump is exact
+		}
 		rec = cfg.NewRecorder(*ringCap)
 		cfg.Collector = rec
 	}
-	var lc *pok.ProfileCollector
+	var acct *pok.CPIAccountant
 	if *prof {
-		// The profiler chains in front of the recorder: the recorder
-		// sees the identical stream, and the profiler's unbounded copy
-		// guarantees a lossless dump for -events.
-		lc = pok.NewProfileCollector(rec)
-		lc.Benchmark, lc.Config = *bench, *cfgName
-		cfg.Collector = lc
+		// The accountant chains in front of the recorder, which sees
+		// the identical stream.
+		acct = pok.NewCPIAccountant(cfg.Collector)
+		cfg.Collector = acct
 	}
 
 	// Build the simulation by hand (rather than through the pok.Run
@@ -189,23 +192,20 @@ func main() {
 		fmt.Println()
 		fmt.Print(r.Telemetry.Render())
 	}
-	if lc != nil {
-		st, err := lc.Stack()
+	if acct != nil {
+		st, err := acct.Stack(r.Cycles)
 		if err != nil {
 			fatal(err)
 		}
+		st.Benchmark, st.Config = benchName, *cfgName
 		fmt.Println()
 		fmt.Print(st.Render())
 	}
-	if *events != "" && rec != nil {
+	if *events != "" {
 		evs := rec.Events()
-		dropped := rec.Dropped()
-		if lc != nil {
-			evs, dropped = lc.Events(), 0 // profiler copy is lossless
-		}
 		meta := &pok.EventDumpMeta{
 			Benchmark: r.Benchmark, Config: *cfgName,
-			Insts: r.Insts, Cycles: r.Cycles, Dropped: dropped,
+			Insts: r.Insts, Cycles: r.Cycles, Dropped: rec.Dropped(),
 		}
 		f, err := os.Create(*events)
 		if err != nil {
@@ -217,7 +217,7 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %d events to %s (render with pok-trace, analyse with pok-prof)\n", len(evs), *events)
+		fmt.Printf("wrote %d events to %s (analyse or render with pok-prof)\n", len(evs), *events)
 	}
 }
 

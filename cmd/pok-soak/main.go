@@ -208,7 +208,7 @@ func main() {
 			fmt.Printf("seed %d: %.1f Minst in %s (%.2f Minst/s), %d replays, %d squashes -> %s\n",
 				base, float64(lastSnap.Insts)/1e6,
 				time.Duration(lastSnap.WallNanos).Round(time.Millisecond),
-				lastSnap.MinstPerSec(), lastSnap.Replays, lastSnap.Squashes, mpath)
+				lastSnap.MinstPerSec(), lastSnap.Replays, lastSnap.Squashes(), mpath)
 			for _, cfg := range sortedKeys(lastSnap.Stacks) {
 				st := lastSnap.Stacks[cfg]
 				if st.Insts == 0 {

@@ -7,6 +7,7 @@ import (
 	"pok/internal/ckpt"
 	"pok/internal/core"
 	"pok/internal/emu"
+	"pok/internal/profile"
 	"pok/internal/telemetry"
 )
 
@@ -24,18 +25,16 @@ type Options struct {
 	Invariants *core.InvariantConfig
 	// Injector, when non-nil, is installed as core.Config.Inject.
 	Injector core.Injector
-	// RingCap bounds the telemetry ring backing the failure trace window
-	// (0 = the telemetry default).
-	RingCap int
 	// TraceRadius selects events within +/- this many sequence numbers
 	// of the failing instruction for Report.Trace (0 = default 4).
 	TraceRadius uint64
-	// KeepTelemetry exposes the run's recorder output on the report
-	// (Report.Telemetry, Report.Events) even on success, for the fleet
-	// metrics pipeline. It reuses the recorder RunChecked already
-	// attaches for failure traces, so the simulated run is bit-identical
-	// with or without it; ignored when the caller brought its own
-	// Collector.
+	// KeepTelemetry exposes the run's telemetry summary and CPI stack
+	// on the report (Report.Telemetry, Report.Stack) even on success,
+	// for the fleet metrics pipeline. It chains a streaming CPI-stack
+	// accountant onto the recorder RunChecked already attaches for
+	// failure traces; both only observe, so the simulated run is
+	// bit-identical with or without it. Ignored when the caller brought
+	// its own Collector.
 	KeepTelemetry bool
 
 	// CkptEvery arms architectural checkpointing at this committed-
@@ -102,12 +101,13 @@ type Report struct {
 	// failing instruction (empty on success).
 	Trace []string `json:"trace,omitempty"`
 
-	// Telemetry and Events carry the run's recorder output when
-	// Options.KeepTelemetry is set — consumed in-process by the fleet
-	// metrics fold, and deliberately excluded from JSON so repro
-	// bundles and findings stay byte-identical with metrics on or off.
+	// Telemetry and Stack carry the run's telemetry summary and (on
+	// success) its CPI stack when Options.KeepTelemetry is set —
+	// consumed in-process by the fleet metrics fold, and deliberately
+	// excluded from JSON so repro bundles and findings stay
+	// byte-identical with metrics on or off.
 	Telemetry *telemetry.Summary `json:"-"`
-	Events    []telemetry.Event  `json:"-"`
+	Stack     *profile.CPIStack  `json:"-"`
 }
 
 // InvariantReport is the JSON shape of a core.InvariantError.
@@ -160,9 +160,14 @@ func RunChecked(prog *emu.Program, cfg core.Config, opts Options) (*Report, erro
 	// failure report can include the pipeline event window around the
 	// offending instruction.
 	var rec *telemetry.Recorder
+	var acct *profile.Accountant
 	if cfg.Collector == nil {
-		rec = cfg.NewRecorder(opts.RingCap)
+		rec = cfg.NewRecorder(0)
 		cfg.Collector = rec
+		if opts.KeepTelemetry {
+			acct = profile.NewAccountant(rec)
+			cfg.Collector = acct
+		}
 	}
 
 	var sim *core.Sim
@@ -187,11 +192,15 @@ func RunChecked(prog *emu.Program, cfg core.Config, opts Options) (*Report, erro
 	if fc, ok := opts.Injector.(FaultCounter); ok {
 		rep.Faults = fc.FaultCounts()
 	}
-	if rec != nil && opts.KeepTelemetry {
+	if acct != nil {
 		rep.Telemetry = rec.Summary()
-		rep.Events = rec.Events()
 	}
 	if runErr == nil {
+		if acct != nil {
+			// Stack fails only for a total shorter than the stream,
+			// which the run's own cycle count never is.
+			rep.Stack, _ = acct.Stack(res.Cycles)
+		}
 		rep.OK = true
 		rep.Insts = res.Insts
 		rep.Cycles = res.Cycles

@@ -24,9 +24,9 @@ type CPIStackRow struct {
 }
 
 // CPIStackReport runs the selected benchmarks through the cumulative
-// technique ladder with the profiling collector attached and builds
-// each run's CPI stack. The profiler only copies events, so the
-// underlying Results are identical to Figure 11's.
+// technique ladder with the streaming CPI-stack accountant attached.
+// The accountant only reads events, so the underlying Results are
+// identical to Figure 11's.
 //
 // Without an explicit benchmark selection it defaults to a small
 // representative subset (the full suite x full ladder is Figure 11's
@@ -44,21 +44,17 @@ func CPIStackReport(opt Options, sliceBy int) ([]CPIStackRow, error) {
 			if err != nil {
 				return err
 			}
-			lc := profile.NewLive(nil)
-			lc.Benchmark, lc.Config = name, cfg.Name
-			cfg.Collector = lc
+			acct := profile.NewAccountant(nil)
+			cfg.Collector = acct
 			r, err := core.RunWarm(prog, cfg, ff, opt.budget())
 			if err != nil {
 				return fmt.Errorf("exp: cpistack %s %s: %w", name, cfg.Name, err)
 			}
-			st, err := lc.Stack()
+			st, err := acct.Stack(r.Cycles)
 			if err != nil {
 				return fmt.Errorf("exp: cpistack %s %s: %w", name, cfg.Name, err)
 			}
-			if st.Sum() != r.Cycles {
-				return fmt.Errorf("exp: cpistack %s %s: attributed %d cycles, run has %d",
-					name, cfg.Name, st.Sum(), r.Cycles)
-			}
+			st.Benchmark, st.Config = name, cfg.Name
 			row.Configs = append(row.Configs, cfg.Name)
 			row.Stacks = append(row.Stacks, st)
 		}

@@ -47,13 +47,8 @@ type Snapshot struct {
 	// without it); everything else in a snapshot is reproducible.
 	WallNanos int64 `json:"wall_nanos,omitempty"`
 
-	// Replays / Squashes count scheduler replay and pipeline squash
-	// events over all runs.
-	Replays  uint64 `json:"replays,omitempty"`
-	Squashes uint64 `json:"squashes,omitempty"`
-	// EventsDropped counts telemetry events that fell off bounded
-	// recorder rings — surfaced as a red badge on the dashboard.
-	EventsDropped uint64 `json:"events_dropped,omitempty"`
+	// Replays counts scheduler replays over all runs.
+	Replays uint64 `json:"replays,omitempty"`
 
 	// RPCRetries / TransportErrors mirror the worker's client stats at
 	// snapshot-send time (cumulative per worker, not per cell); the
@@ -94,8 +89,6 @@ func (s *Snapshot) AddRun(config string, insts uint64, cycles int64,
 		}
 	}
 	if sum != nil {
-		s.Squashes += sum.Events["squash"]
-		s.EventsDropped += sum.EventsDropped
 		if s.Telemetry == nil {
 			s.Telemetry = &telemetry.Summary{}
 		}
@@ -117,8 +110,6 @@ func (s *Snapshot) Merge(o *Snapshot) {
 	s.Cycles += o.Cycles
 	s.WallNanos += o.WallNanos
 	s.Replays += o.Replays
-	s.Squashes += o.Squashes
-	s.EventsDropped += o.EventsDropped
 	s.RPCRetries += o.RPCRetries
 	s.TransportErrors += o.TransportErrors
 	if len(o.Stacks) > 0 && s.Stacks == nil {
@@ -155,6 +146,23 @@ func (s *Snapshot) Clone() *Snapshot {
 	}
 	c.Telemetry = s.Telemetry.Clone()
 	return &c
+}
+
+// Squashes counts pipeline squash events over all runs.
+func (s *Snapshot) Squashes() uint64 {
+	if s.Telemetry == nil {
+		return 0
+	}
+	return s.Telemetry.Events[telemetry.EvSquash.String()]
+}
+
+// EventsDropped counts telemetry events that fell off bounded recorder
+// rings — surfaced as a red badge on the dashboard.
+func (s *Snapshot) EventsDropped() uint64 {
+	if s.Telemetry == nil {
+		return 0
+	}
+	return s.Telemetry.EventsDropped
 }
 
 // MinstPerSec is the blended throughput: committed instructions per

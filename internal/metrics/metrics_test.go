@@ -20,7 +20,6 @@ func genStack(r *rand.Rand, cfg string) *profile.CPIStack {
 		st.Comp[i] = int64(r.Intn(5_000))
 		st.Cycles += st.Comp[i]
 	}
-	st.Lossy = r.Intn(4) == 0
 	return st
 }
 
@@ -77,8 +76,6 @@ func genSnapshot(r *rand.Rand) *Snapshot {
 		Cycles:          int64(r.Intn(1_000_000)),
 		WallNanos:       int64(r.Intn(1_000_000)),
 		Replays:         uint64(r.Intn(1_000)),
-		Squashes:        uint64(r.Intn(1_000)),
-		EventsDropped:   uint64(r.Intn(3)),
 		RPCRetries:      int64(r.Intn(5)),
 		TransportErrors: int64(r.Intn(5)),
 		Telemetry:       genSummary(r),
@@ -168,8 +165,8 @@ func TestAddRun(t *testing.T) {
 	if s.Runs != 3 || s.Insts != 1500 || s.Replays != 4 {
 		t.Fatalf("runs=%d insts=%d replays=%d, want 3/1500/4", s.Runs, s.Insts, s.Replays)
 	}
-	if s.Squashes != 7 || s.EventsDropped != 2 {
-		t.Fatalf("squashes=%d dropped=%d, want 7/2", s.Squashes, s.EventsDropped)
+	if s.Squashes() != 7 || s.EventsDropped() != 2 {
+		t.Fatalf("squashes=%d dropped=%d, want 7/2", s.Squashes(), s.EventsDropped())
 	}
 	if len(s.Stacks) != 1 {
 		t.Fatalf("stacks = %v, want just slice2", s.Stacks)

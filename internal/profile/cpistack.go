@@ -21,10 +21,6 @@ type CPIStack struct {
 	Insts uint64 `json:"insts"`
 	// Comp holds per-component attributed cycles, indexed by Component.
 	Comp [NumComponents]int64 `json:"components"`
-	// Lossy marks a stack built from a stream whose bounded ring
-	// dropped events: totals still sum to Cycles, but early-run
-	// attribution is approximate.
-	Lossy bool `json:"lossy,omitempty"`
 }
 
 // CPI returns cycles per committed instruction.
@@ -63,7 +59,6 @@ func (st *CPIStack) Merge(o *CPIStack) {
 	for i := range st.Comp {
 		st.Comp[i] += o.Comp[i]
 	}
-	st.Lossy = st.Lossy || o.Lossy
 }
 
 // mergeLabel keeps a label two sides agree on; "" is the identity and
@@ -88,31 +83,14 @@ func (st *CPIStack) Clone() *CPIStack {
 	return &c
 }
 
-// commitRec is one committed instruction's attribution inputs, in
-// commit (== program) order.
-type commitRec struct {
-	seq      uint64
-	cycle    int64 // commit cycle
-	fetchC   int64
-	dispC    int64
-	doneC    int64 // EvCommit.Arg: last obligation completed
-	dep      int64 // EvCommit.Arg2: CommitDep* class
-	resolveC int64 // branch resolution cycle (branches only)
-	mispred  bool
-}
-
-// instRec accumulates one in-flight instruction's events until commit.
-type instRec struct {
-	fetchC   int64
-	dispC    int64
-	resolveC int64
-	mispred  bool
-	hasFetch bool
-	hasDisp  bool
-}
-
-// BuildCPIStack attributes every cycle of a run to one component using
-// interval-style accounting over the event stream.
+// Accountant is the streaming CPI-stack builder: a chained
+// telemetry.Collector that attributes each commit gap as the commit
+// arrives and forwards every event and sample unchanged to an inner
+// collector (typically the standard Recorder; nil to account alone).
+// It keeps state only for instructions in flight plus a few counters,
+// never the stream itself, so a run of any length accounts in constant
+// memory. It only reads value-typed events, so attaching it cannot
+// perturb simulated timing.
 //
 // Cycles in which an instruction committed are CompBase. Every
 // zero-commit gap cycle is attributed through the *next* committing
@@ -133,118 +111,165 @@ type instRec struct {
 //
 // Cycles after the last commit (pipeline drain) are CompFetch.
 //
-// totalCycles is the run's cycle count (core.Result.Cycles, or the
-// dump meta's cycles field); when <= 0 it is inferred as the last
-// event cycle + 1, which undercounts only the silent drain tail.
-func BuildCPIStack(events []telemetry.Event, totalCycles int64) (*CPIStack, error) {
-	live := make(map[uint64]*instRec)
-	var commits []commitRec
-	var maxCycle int64
+// The front-end depth is the one whole-run quantity: the minimum
+// fetch-to-dispatch distance over every commit (the first instruction
+// after a quiet front end dispatches unblocked). It only decides how a
+// fetched-but-undispatched stretch splits between CompFetch and
+// CompWindow, so such cycles are booked to CompWindow as they arrive,
+// and those within the running minimum of their instruction's fetch
+// are also counted by that offset; Stack moves the ones below the
+// final minimum to CompFetch.
+type Accountant struct {
+	inner    telemetry.Collector
+	inflight map[uint64]instRec
 
-	for i := range events {
-		ev := &events[i]
-		if ev.Cycle > maxCycle {
-			maxCycle = ev.Cycle
-		}
-		switch ev.Kind {
-		case telemetry.EvFetch:
-			if ev.Arg2 != 0 {
-				continue // wrong-path fetch: never commits
-			}
-			live[ev.Seq] = &instRec{fetchC: ev.Cycle, hasFetch: true}
-		case telemetry.EvDispatch:
-			if r := live[ev.Seq]; r != nil {
-				r.dispC, r.hasDisp = ev.Cycle, true
-			}
-		case telemetry.EvBranchResolve:
-			if r := live[ev.Seq]; r != nil {
-				r.resolveC = ev.Arg
-				r.mispred = ev.Arg2&telemetry.ResolveMispredict != 0
-			}
-		case telemetry.EvSquash:
-			delete(live, ev.Seq)
-		case telemetry.EvCommit:
-			c := commitRec{seq: ev.Seq, cycle: ev.Cycle,
-				doneC: ev.Arg, dep: ev.Arg2}
-			if r := live[ev.Seq]; r != nil {
-				c.fetchC, c.dispC = r.fetchC, r.dispC
-				c.resolveC, c.mispred = r.resolveC, r.mispred
-				if !r.hasFetch || !r.hasDisp {
-					c.fetchC, c.dispC = ev.Cycle, ev.Cycle
-				}
-				delete(live, ev.Seq)
-			} else {
-				// Lossy stream: the fetch/dispatch events fell off the
-				// ring. Clamp the boundaries to the commit cycle so
-				// the gap attribution stays well-formed.
-				c.fetchC, c.dispC = ev.Cycle, ev.Cycle
-			}
-			commits = append(commits, c)
-		}
-	}
-
-	if totalCycles <= 0 {
-		totalCycles = maxCycle + 1
-	}
-
-	st := &CPIStack{Cycles: totalCycles, Insts: uint64(len(commits))}
-	if len(commits) == 0 {
-		st.Comp[CompFetch] = totalCycles
-		return st, nil
-	}
-
-	// Front-end latency: the pipeline's fetch-to-dispatch depth is the
-	// minimum observed over all commits (the first instruction after a
-	// quiet front end dispatches unblocked).
-	frontLat := int64(1 << 62)
-	for i := range commits {
-		if d := commits[i].dispC - commits[i].fetchC; d >= 0 && d < frontLat {
-			frontLat = d
-		}
-	}
-
-	prev := int64(-1) // last attributed cycle (commit or gap)
-	shadowed := false // previous commit was a mispredicted branch
-	for i := range commits {
-		c := &commits[i]
-		end := c.cycle
-		if end >= totalCycles {
-			end = totalCycles - 1
-		}
-		for x := prev + 1; x < end; x++ {
-			st.Comp[st.gapComponent(x, c, frontLat, shadowed)]++
-		}
-		if end > prev {
-			st.Comp[CompBase]++ // first commit in this cycle
-			prev = end
-		}
-		shadowed = c.mispred
-	}
-	// Drain tail: cycles after the last commit.
-	for x := prev + 1; x < totalCycles; x++ {
-		st.Comp[CompFetch]++
-	}
-	return st, nil
+	acc      CPIStack // Insts and Comp so far; Cycles is set by Stack
+	prev     int64    // last attributed cycle (commit or gap)
+	shadowed bool     // previous commit was a mispredicted branch
+	maxCycle int64    // latest event cycle
+	frontLat int64    // running minimum fetch-to-dispatch depth
+	// early[o] counts the CompWindow cycles booked o cycles after
+	// their instruction's fetch, for o below frontLat.
+	early []int64
 }
 
-// gapComponent attributes one zero-commit cycle x via the next
-// committing instruction c. shadowed marks c as the refetch target of
-// a just-committed mispredicted branch: its whole pre-dispatch refill
-// is then the mispredict penalty.
-func (st *CPIStack) gapComponent(x int64, c *commitRec, frontLat int64, shadowed bool) Component {
-	if shadowed && x < c.dispC {
-		return CompBranch // mispredict shadow: resolve wait + refill
+// instRec is one in-flight correct-path instruction's timing.
+type instRec struct {
+	fetchC  int64
+	dispC   int64
+	hasDisp bool
+	mispred bool
+}
+
+// NewAccountant chains a streaming CPI-stack accountant in front of
+// inner (which may be nil).
+func NewAccountant(inner telemetry.Collector) *Accountant {
+	return &Accountant{
+		inner:    inner,
+		inflight: make(map[uint64]instRec),
+		prev:     -1,
+		frontLat: 1 << 62,
 	}
-	switch {
-	case x < c.fetchC:
-		return CompFetch
-	case x < c.fetchC+frontLat:
-		return CompFetch // in flight in the front-end pipeline
-	case x < c.dispC:
-		return CompWindow
-	default:
-		return depComponent(c.dep)
+}
+
+// Event implements telemetry.Collector.
+func (a *Accountant) Event(ev telemetry.Event) {
+	if a.inner != nil {
+		a.inner.Event(ev)
 	}
+	if ev.Cycle > a.maxCycle {
+		a.maxCycle = ev.Cycle
+	}
+	switch ev.Kind {
+	case telemetry.EvFetch:
+		if ev.Arg2 == 0 { // a wrong-path fetch never commits
+			a.inflight[ev.Seq] = instRec{fetchC: ev.Cycle}
+		}
+	case telemetry.EvDispatch:
+		if r, ok := a.inflight[ev.Seq]; ok {
+			r.dispC, r.hasDisp = ev.Cycle, true
+			a.inflight[ev.Seq] = r
+		}
+	case telemetry.EvBranchResolve:
+		if r, ok := a.inflight[ev.Seq]; ok {
+			r.mispred = ev.Arg2&telemetry.ResolveMispredict != 0
+			a.inflight[ev.Seq] = r
+		}
+	case telemetry.EvSquash:
+		delete(a.inflight, ev.Seq)
+	case telemetry.EvCommit:
+		r, ok := a.inflight[ev.Seq]
+		delete(a.inflight, ev.Seq)
+		if !ok || !r.hasDisp || r.dispC < r.fetchC {
+			// Fetch or dispatch unseen (a stream that starts mid-run)
+			// or out of order: clamp both to the commit cycle so the
+			// gap stays well-formed.
+			r.fetchC, r.dispC = ev.Cycle, ev.Cycle
+		}
+		a.commit(ev.Cycle, ev.Arg2, r)
+	}
+}
+
+// commit accounts the gap before one commit at cycle end, whose
+// dependence class is dep.
+func (a *Accountant) commit(end, dep int64, r instRec) {
+	a.acc.Insts++
+	if d := r.dispC - r.fetchC; d < a.frontLat {
+		a.frontLat = d
+		if int64(len(a.early)) > d {
+			a.early = a.early[:d]
+		}
+	}
+	lo := a.prev + 1
+	span := func(from, to int64) int64 { return max(0, min(end, to)-max(lo, from)) }
+	if a.shadowed {
+		a.acc.Comp[CompBranch] += span(lo, r.dispC)
+	} else {
+		a.acc.Comp[CompFetch] += span(lo, r.fetchC)
+		a.acc.Comp[CompWindow] += span(r.fetchC, r.dispC)
+		for x := max(lo, r.fetchC); x < min(end, r.dispC, r.fetchC+a.frontLat); x++ {
+			o := x - r.fetchC
+			for int64(len(a.early)) <= o {
+				a.early = append(a.early, 0)
+			}
+			a.early[o]++
+		}
+	}
+	a.acc.Comp[depComponent(dep)] += span(r.dispC, end)
+	if end > a.prev {
+		a.acc.Comp[CompBase]++ // first commit in this cycle
+		a.prev = end
+	}
+	a.shadowed = r.mispred
+}
+
+// CycleSample implements telemetry.Collector.
+func (a *Accountant) CycleSample(cs telemetry.CycleSample) {
+	if a.inner != nil {
+		a.inner.CycleSample(cs)
+	}
+}
+
+// Summary implements telemetry.Collector by forwarding the inner
+// collector's aggregation (nil when accounting without a Recorder).
+func (a *Accountant) Summary() *telemetry.Summary {
+	if a.inner != nil {
+		return a.inner.Summary()
+	}
+	return nil
+}
+
+// Stack returns the run's CPI stack so far. totalCycles is the run's
+// cycle count (core.Result.Cycles, or the dump meta's cycles field);
+// when <= 0 it is inferred as the last event cycle + 1, which
+// undercounts only the silent drain tail. It is an error for the
+// stream to commit at or after totalCycles.
+func (a *Accountant) Stack(totalCycles int64) (*CPIStack, error) {
+	if totalCycles <= 0 {
+		totalCycles = a.maxCycle + 1
+	}
+	if a.prev >= totalCycles {
+		return nil, fmt.Errorf("profile: commit at cycle %d in a run of %d cycles", a.prev, totalCycles)
+	}
+	st := a.acc
+	st.Cycles = totalCycles
+	for _, n := range a.early {
+		st.Comp[CompWindow] -= n
+		st.Comp[CompFetch] += n
+	}
+	st.Comp[CompFetch] += totalCycles - (a.prev + 1) // drain tail
+	return &st, nil
+}
+
+// BuildCPIStack replays a stored event stream through an Accountant:
+// the offline (dump) path and the live path share one implementation.
+// totalCycles is as for Accountant.Stack.
+func BuildCPIStack(events []telemetry.Event, totalCycles int64) (*CPIStack, error) {
+	a := NewAccountant(nil)
+	for i := range events {
+		a.Event(events[i])
+	}
+	return a.Stack(totalCycles)
 }
 
 // Render formats the stack as the fixed-width report pok-prof prints.
@@ -262,9 +287,6 @@ func (st *CPIStack) Render() string {
 	}
 	fmt.Fprintf(&b, "CPI stack: %s\n", name)
 	fmt.Fprintf(&b, "  cycles %d  insts %d  CPI %.4f\n", st.Cycles, st.Insts, st.CPI())
-	if st.Lossy {
-		b.WriteString("  (lossy stream: ring dropped events; early-run attribution approximate)\n")
-	}
 	for i := 0; i < NumComponents; i++ {
 		cyc := st.Comp[i]
 		pct := 0.0

@@ -2,10 +2,13 @@ package profile_test
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"pok/internal/core"
 	"pok/internal/profile"
+	"pok/internal/telemetry"
 	"pok/internal/workload"
 )
 
@@ -14,8 +17,8 @@ import (
 // cycles sum to core.Result.Cycles exactly — not approximately — for
 // every baked-in workload, under the simple pipeline and both
 // bit-slice widths, on both schedulers. The companion contract is that
-// profiling is pure observation: a run with the Live collector
-// attached produces a Result bit-identical to the bare run's.
+// profiling is pure observation: a run with the Accountant attached
+// produces a Result bit-identical to the bare run's.
 
 func invariantConfigs() []core.Config {
 	return []core.Config{
@@ -25,29 +28,31 @@ func invariantConfigs() []core.Config {
 	}
 }
 
-func runProfiled(t *testing.T, bench string, cfg core.Config, insts uint64) (*core.Result, *profile.Live) {
+// runAccounted runs bench under cfg with an Accountant chained in front
+// of inner (which may be nil) and returns the Result and the
+// accountant.
+func runAccounted(t *testing.T, bench string, cfg core.Config, insts uint64, inner telemetry.Collector) (*core.Result, *profile.Accountant) {
 	t.Helper()
 	w := workload.MustGet(bench)
 	prog, err := w.Program(w.DefaultScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc := profile.NewLive(nil)
-	lc.Benchmark, lc.Config = bench, cfg.Name
-	cfg.Collector = lc
+	acct := profile.NewAccountant(inner)
+	cfg.Collector = acct
 	r, err := core.RunWarm(prog, cfg, w.FastForward, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, lc
+	return r, acct
 }
 
-// profiledStack runs bench under cfg and returns its Result and the CPI
-// stack built from the run's complete event stream.
+// profiledStack runs bench under cfg and returns its Result and CPI
+// stack.
 func profiledStack(t *testing.T, bench string, cfg core.Config, insts uint64) (*core.Result, *profile.CPIStack) {
 	t.Helper()
-	r, lc := runProfiled(t, bench, cfg, insts)
-	st, err := lc.Stack()
+	r, acct := runAccounted(t, bench, cfg, insts, nil)
+	st, err := acct.Stack(r.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +75,7 @@ func runPlain(t *testing.T, bench string, cfg core.Config, insts uint64) *core.R
 
 // TestCPIStackAccountsEveryCycle sweeps every workload x config x
 // scheduler and requires exact cycle conservation plus a bit-identical
-// Result with and without the profiler attached.
+// Result with and without the accountant attached.
 func TestCPIStackAccountsEveryCycle(t *testing.T) {
 	const insts = 10_000
 	for _, bench := range workload.Names() {
@@ -80,11 +85,7 @@ func TestCPIStackAccountsEveryCycle(t *testing.T) {
 				cfg.LegacyScheduler = legacy
 				name := fmt.Sprintf("%s/%s/legacy=%v", bench, cfg.Name, legacy)
 				t.Run(name, func(t *testing.T) {
-					r, lc := runProfiled(t, bench, cfg, insts)
-					st, err := lc.Stack()
-					if err != nil {
-						t.Fatal(err)
-					}
+					r, st := profiledStack(t, bench, cfg, insts)
 					if got := st.Sum(); got != r.Cycles {
 						t.Errorf("attributed %d cycles, run has %d\n%s",
 							got, r.Cycles, st.Render())
@@ -92,20 +93,70 @@ func TestCPIStackAccountsEveryCycle(t *testing.T) {
 					if st.Insts != r.Insts {
 						t.Errorf("stack saw %d commits, run committed %d", st.Insts, r.Insts)
 					}
-					if lc.Cycles() != r.Cycles {
-						t.Errorf("collector sampled %d cycles, run has %d", lc.Cycles(), r.Cycles)
-					}
 
 					plain := runPlain(t, bench, cfg, insts)
 					got, want := *r, *plain
 					got.Telemetry, want.Telemetry = nil, nil
 					if got != want {
-						t.Errorf("profiler perturbed the run:\nwith:\n%s\nwithout:\n%s",
+						t.Errorf("accountant perturbed the run:\nwith:\n%s\nwithout:\n%s",
 							r.Summary(), plain.Summary())
 					}
 				})
 			}
 		}
+	}
+}
+
+// TestAccountantMatchesReplay: the live accountant, chained in front of
+// a recorder that keeps every event, reports the same stack as a replay
+// of the recorded stream, and forwards the stream untouched.
+func TestAccountantMatchesReplay(t *testing.T) {
+	cfg := core.BitSliced(4)
+	rec := cfg.NewRecorder(math.MaxInt)
+	r, acct := runAccounted(t, "gcc", cfg, 20_000, rec)
+	live, err := acct.Stack(r.Cycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := profile.BuildCPIStack(rec.Events(), r.Cycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *live != *replay {
+		t.Fatalf("live stack differs from replay:\n%s\n%s", live.Render(), replay.Render())
+	}
+	if rec.Dropped() != 0 || r.Telemetry == nil || r.Telemetry.Events["commit"] != r.Insts {
+		t.Fatalf("inner recorder saw a different stream: dropped %d, summary %+v",
+			rec.Dropped(), r.Telemetry)
+	}
+}
+
+// TestAccountantHeapConstant: the accountant holds only in-flight
+// instructions, so what it retains after a 300k-instruction run is
+// within a constant of what it retains after a 20k run — the 300k
+// run's event stream alone is over 100 MB.
+func TestAccountantHeapConstant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("300k-instruction run")
+	}
+	retained := func(insts uint64) int64 {
+		r, acct := runAccounted(t, "gzip", core.BitSliced(4), insts, nil)
+		if _, err := acct.Stack(r.Cycles); err != nil {
+			t.Fatal(err)
+		}
+		var with, without runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&with)
+		runtime.KeepAlive(acct)
+		acct = nil
+		runtime.GC()
+		runtime.ReadMemStats(&without)
+		return int64(with.HeapAlloc) - int64(without.HeapAlloc)
+	}
+	short, long := retained(20_000), retained(300_000)
+	t.Logf("accountant retains %d bytes after 20k insts, %d after 300k", short, long)
+	if long > short+64<<10 {
+		t.Fatalf("accountant retains %d bytes after 300k insts, %d after 20k", long, short)
 	}
 }
 
@@ -115,8 +166,9 @@ func TestCPIStackAccountsEveryCycle(t *testing.T) {
 // run.
 func TestCriticalPathConservation(t *testing.T) {
 	for _, base := range invariantConfigs() {
-		r, lc := runProfiled(t, "gzip", base, 10_000)
-		cp, err := lc.CriticalPath()
+		rec := base.NewRecorder(math.MaxInt)
+		r, _ := runAccounted(t, "gzip", base, 10_000, rec)
+		cp, err := profile.BuildCriticalPath(rec.Events())
 		if err != nil {
 			t.Fatal(err)
 		}

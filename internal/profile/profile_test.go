@@ -73,8 +73,8 @@ func TestCPIStackGapAttribution(t *testing.T) {
 }
 
 // TestCPIStackLossyClamp feeds a stream whose fetch/dispatch events
-// are missing (as after ring overwrite) and requires conservation to
-// survive via the commit-cycle clamp.
+// are missing (as in a stream that starts mid-run) and requires
+// conservation to survive via the commit-cycle clamp.
 func TestCPIStackLossyClamp(t *testing.T) {
 	evs := []telemetry.Event{
 		{Cycle: 5, Seq: 1, Kind: telemetry.EvCommit, Slice: -1, Arg: 5, Arg2: telemetry.CommitDepDCache},

@@ -763,7 +763,7 @@ func (c *Coordinator) Status() *Status {
 	for _, id := range c.order {
 		for _, cl := range c.jobs[id].cells {
 			if s := cellSnapLocked(cl); s != nil {
-				st.EventsDropped += s.EventsDropped
+				st.EventsDropped += s.EventsDropped()
 			}
 		}
 	}

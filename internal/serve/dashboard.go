@@ -119,7 +119,7 @@ function renderCPIStacks(snap) {
     const total = st.cycles || 1;
     const cpi = st.insts ? (st.cycles / st.insts).toFixed(3) : '-';
     h += '<div class="cpirow"><span>' + esc(cfg) + ' <span class="muted">CPI ' +
-         cpi + (st.lossy ? ' (lossy)' : '') + '</span></span><div class="cpibar">';
+         cpi + '</span></span><div class="cpibar">';
     (st.components || []).forEach((c, i) => {
       if (c <= 0) return;
       h += '<div style="width:' + (100 * c / total) + '%;background:' + PALETTE[i] +

@@ -134,7 +134,7 @@ func (c *Coordinator) Metrics() *FleetMetrics {
 		}
 		jm.Snapshot = acc
 		if acc != nil {
-			m.EventsDropped += acc.EventsDropped
+			m.EventsDropped += acc.EventsDropped()
 		}
 		m.Jobs = append(m.Jobs, jm)
 	}
@@ -215,7 +215,7 @@ func renderProm(m *FleetMetrics) []byte {
 		p.Counter("pok_job_runs_total", "Detection runs executed.", jl, float64(s.Runs))
 		p.Counter("pok_job_findings_total", "Findings recorded.", jl, float64(s.Findings))
 		p.Counter("pok_job_replays_total", "Scheduler replays observed.", jl, float64(s.Replays))
-		p.Counter("pok_job_squashes_total", "Pipeline squashes observed.", jl, float64(s.Squashes))
+		p.Counter("pok_job_squashes_total", "Pipeline squashes observed.", jl, float64(s.Squashes()))
 		cfgs := make([]string, 0, len(s.Stacks))
 		for cfg := range s.Stacks {
 			cfgs = append(cfgs, cfg)

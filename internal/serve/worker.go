@@ -567,10 +567,10 @@ func (w *Worker) runBenchCell(ctx context.Context, a *Assignment) error {
 
 // runBench simulates one benchmark under every config of the spec with
 // its standard fast-forward (the same path pok.SimulateBenchmark
-// takes). With collect set it attaches a telemetry recorder per run
-// and folds a per-config CPI stack into the returned snapshot — the
-// attached recorder is results-neutral (PR 2's bit-identical-Result
-// guarantee), so BenchRows match the collector-less run exactly.
+// takes). With collect set it attaches a telemetry recorder and a
+// streaming CPI-stack accountant per run and folds both into the
+// returned snapshot. Both only observe, so BenchRows match the
+// collector-less run exactly.
 func runBench(bench string, spec *BenchSpec, collect bool) ([]BenchRow, *metrics.Snapshot, error) {
 	wl, err := workload.Get(bench)
 	if err != nil {
@@ -591,24 +591,24 @@ func runBench(bench string, spec *BenchSpec, collect bool) ([]BenchRow, *metrics
 			return nil, nil, err
 		}
 		var rec *telemetry.Recorder
+		var acct *profile.Accountant
 		if collect {
 			rec = cfg.NewRecorder(0)
-			cfg.Collector = rec
+			acct = profile.NewAccountant(rec)
+			cfg.Collector = acct
 		}
 		t0 := time.Now()
 		r, err := core.RunWarm(prog, cfg, wl.FastForward, spec.MaxInsts)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s/%s: %w", bench, name, err)
 		}
-		if rec != nil {
-			sum := rec.Summary()
-			var stack *profile.CPIStack
-			if st, serr := profile.BuildCPIStack(rec.Events(), r.Cycles); serr == nil {
-				st.Benchmark, st.Config = bench, name
-				st.Lossy = sum.EventsDropped > 0
-				stack = st
+		if acct != nil {
+			stack, err := acct.Stack(r.Cycles)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%s/%s: %w", bench, name, err)
 			}
-			snap.AddRun(name, r.Insts, r.Cycles, r.Replays, stack, sum, time.Since(t0))
+			stack.Benchmark, stack.Config = bench, name
+			snap.AddRun(name, r.Insts, r.Cycles, r.Replays, stack, rec.Summary(), time.Since(t0))
 		}
 		rows = append(rows, BenchRow{
 			Benchmark: bench, Config: name,

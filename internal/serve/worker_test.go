@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path"
@@ -15,9 +16,12 @@ import (
 	"time"
 
 	"pok/internal/ckpt"
+	"pok/internal/core"
 	"pok/internal/emu"
 	"pok/internal/gen"
+	"pok/internal/profile"
 	"pok/internal/soak"
+	"pok/internal/workload"
 )
 
 // countEncodes swaps the worker's encode seam for a counting wrapper
@@ -255,5 +259,49 @@ func TestHeartbeatRacesSetMid(t *testing.T) {
 	}
 	if got := encodes.Load() - before; got > 1 {
 		t.Errorf("two heartbeats of one snapshot encoded it %d times", got)
+	}
+}
+
+// TestBenchStackPastRingBound: a bench cell long enough to overflow the
+// standard recorder's event ring still publishes an exact CPI stack,
+// equal to the one built from the run's complete event stream.
+func TestBenchStackPastRingBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("300k-instruction slice4 run")
+	}
+	const insts = 300_000
+	_, snap, err := runBench("gzip", &BenchSpec{Configs: []string{"slice4"}, MaxInsts: insts}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := snap.Stacks["slice4"]
+	if got == nil {
+		t.Fatal("no slice4 stack in the snapshot")
+	}
+	if got.Insts != insts || got.Sum() != got.Cycles {
+		t.Fatalf("stack counts %d of %d commits and %d of %d cycles",
+			got.Insts, insts, got.Sum(), got.Cycles)
+	}
+
+	w := workload.MustGet("gzip")
+	prog, err := w.Program(w.DefaultScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.BitSliced(4)
+	rec := cfg.NewRecorder(math.MaxInt)
+	cfg.Collector = rec
+	r, err := core.RunWarm(prog, cfg, w.FastForward, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := profile.BuildCPIStack(rec.Events(), r.Cycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Benchmark, want.Config = "gzip", "slice4"
+	if *got != *want {
+		t.Fatalf("bench stack differs from the full-stream stack:\n%s\n%s",
+			got.Render(), want.Render())
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"pok/internal/core"
 	"pok/internal/gen"
 	"pok/internal/metrics"
-	"pok/internal/profile"
 	"pok/internal/workload"
 )
 
@@ -651,26 +650,19 @@ func runCell(opts Options, prog *gen.Program, idx int, cfgName string,
 }
 
 // foldRun folds one detection attempt into the metrics snapshot: CPI
-// stack (successful runs with a kept event stream only — a failed run
-// has no meaningful cycle accounting), telemetry summary, counters and
-// wall time. A nil report (watchdog timeout) still counts the run and
-// its wall cost. Never touches the finding path.
+// stack (successful runs only — a failed run has no meaningful cycle
+// accounting), telemetry summary, counters and wall time. A nil report
+// (watchdog timeout) still counts the run and its wall cost. Never
+// touches the finding path.
 func foldRun(snap *metrics.Snapshot, cfgName string, rep *check.Report, wall time.Duration) {
 	if rep == nil {
 		snap.AddRun(cfgName, 0, 0, 0, nil, nil, wall)
 		return
 	}
-	var stack *profile.CPIStack
-	if rep.OK && len(rep.Events) > 0 {
-		if st, err := profile.BuildCPIStack(rep.Events, rep.Cycles); err == nil {
-			st.Config = cfgName
-			if rep.Telemetry != nil && rep.Telemetry.EventsDropped > 0 {
-				st.Lossy = true
-			}
-			stack = st
-		}
+	if rep.Stack != nil {
+		rep.Stack.Config = cfgName
 	}
-	snap.AddRun(cfgName, rep.Insts, rep.Cycles, rep.Replays, stack, rep.Telemetry, wall)
+	snap.AddRun(cfgName, rep.Insts, rep.Cycles, rep.Replays, rep.Stack, rep.Telemetry, wall)
 }
 
 func findingDetail(res reduce.RunResult) string {

@@ -101,7 +101,7 @@ func (r *Recorder) Events() []Event { return r.ring.Events() }
 // Dropped reports how many events fell off the bounded ring. A dump
 // written from a Recorder with Dropped() > 0 is lossy: counts in
 // Summary are still exact, but event-stream consumers that need every
-// edge (the critical-path extractor) must refuse it.
+// edge (the CPI stack and the critical-path extractor) must refuse it.
 func (r *Recorder) Dropped() uint64 { return r.ring.Dropped() }
 
 // Summary implements Collector, aggregating everything recorded so far.

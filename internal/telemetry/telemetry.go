@@ -16,8 +16,7 @@
 // The package also provides the offline halves of the pipeline:
 // JSONL export/import of event dumps (jsonl.go), an aggregated
 // machine-readable Summary (summary.go), and the per-instruction
-// slice-pipeline timeline renderer behind cmd/pok-trace
-// (timeline.go).
+// slice-pipeline timeline renderer behind pok-prof (timeline.go).
 package telemetry
 
 // Kind enumerates the structured pipeline event taxonomy.

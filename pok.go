@@ -210,7 +210,7 @@ type (
 	TelemetrySummary = telemetry.Summary
 	// TelemetryEvent is one fixed-size structured pipeline event.
 	TelemetryEvent = telemetry.Event
-	// TimelineOptions bounds the pok-trace wavefront rendering.
+	// TimelineOptions bounds the pok-prof timeline rendering.
 	TimelineOptions = telemetry.TimelineOptions
 )
 
@@ -220,15 +220,17 @@ var (
 	// ReadEventsJSONL parses a JSONL event dump.
 	ReadEventsJSONL = telemetry.ReadJSONL
 	// RenderTimeline draws the per-instruction slice-pipeline wavefront
-	// (cmd/pok-trace) from an event dump.
+	// (pok-prof's timeline mode) from an event dump.
 	RenderTimeline = telemetry.RenderTimeline
 )
 
-// Cycle accounting & critical path: the offline analysis engine of
+// Cycle accounting & critical path: the analysis engine of
 // internal/profile (CLI: cmd/pok-prof). A CPIStack attributes every
-// cycle of a run to one bottleneck component; a CriticalPath is the
-// longest dependence chain through the per-slice dataflow DAG. See
-// DESIGN.md, "Cycle accounting & critical path".
+// cycle of a run to one bottleneck component, streamed by a
+// CPIAccountant as the run commits or replayed from a stored stream by
+// BuildCPIStack; a CriticalPath is the longest dependence chain through
+// the per-slice dataflow DAG. See DESIGN.md, "Cycle accounting &
+// critical path".
 type (
 	// EventDumpMeta is the self-describing header line of a JSONL
 	// event dump (benchmark, config, cycles, dropped-event count).
@@ -237,9 +239,9 @@ type (
 	CPIStack = profile.CPIStack
 	// CriticalPath is the longest dependence chain of one run.
 	CriticalPath = profile.CriticalPath
-	// ProfileCollector is the chained live-profiling collector
-	// (pok-sim -prof).
-	ProfileCollector = profile.Live
+	// CPIAccountant is the streaming CPI-stack collector (pok-sim
+	// -prof): chain it in front of a recorder, or alone.
+	CPIAccountant = profile.Accountant
 	// PerfettoOptions tunes the Chrome trace-event export.
 	PerfettoOptions = profile.PerfettoOptions
 	// SelfProfile records the analyser's own wall-time phases.
@@ -253,7 +255,8 @@ var (
 	// ReadEventsDump parses a JSONL dump, returning the meta header
 	// when present.
 	ReadEventsDump = telemetry.ReadJSONLDump
-	// BuildCPIStack attributes every cycle of an event stream.
+	// BuildCPIStack attributes every cycle of a stored event stream by
+	// replaying it through a CPIAccountant.
 	BuildCPIStack = profile.BuildCPIStack
 	// RenderCPIStackCompare renders a side-by-side CPI-stack diff.
 	RenderCPIStackCompare = profile.RenderCompare
@@ -262,9 +265,9 @@ var (
 	// WritePerfetto exports the slice pipeline as Chrome trace-event
 	// JSON (load in ui.perfetto.dev).
 	WritePerfetto = profile.WritePerfetto
-	// NewProfileCollector chains a live profiler in front of an inner
-	// collector (which may be nil).
-	NewProfileCollector = profile.NewLive
+	// NewCPIAccountant chains a streaming CPI-stack accountant in front
+	// of an inner collector (which may be nil).
+	NewCPIAccountant = profile.NewAccountant
 	// NewSelfProfile starts a wall-clock phase recorder for the
 	// Perfetto self-profiling overlay.
 	NewSelfProfile = profile.NewSelfProfile
