@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -25,6 +26,9 @@ import (
 // to replace the file when a change is meant to move the attribution.
 
 const cpiGoldenFile = "testdata/cpistack_golden.json"
+
+// goldenShortBenches is the -short subset (race-detector runs).
+var goldenShortBenches = []string{"gcc", "li", "mcf"}
 
 // goldenStack is one table entry: the stack without its labels.
 type goldenStack struct {
@@ -68,7 +72,7 @@ func TestCPIStackGolden(t *testing.T) {
 
 	got := map[string]goldenStack{}
 	for _, c := range goldenCells() {
-		if testing.Short() && c.insts > 10_000 {
+		if testing.Short() && (c.insts > 10_000 || !slices.Contains(goldenShortBenches, c.bench)) {
 			continue
 		}
 		key := fmt.Sprintf("%s/%s/%d", c.bench, c.cfg.Name, c.insts)

@@ -93,6 +93,18 @@ func TestCPIStackLossyClamp(t *testing.T) {
 	}
 }
 
+// TestCPIStackRejectsShortTotal: a dump whose meta cycle count is
+// shorter than its own commit stream is an error, not a stack that
+// fails to sum.
+func TestCPIStackRejectsShortTotal(t *testing.T) {
+	evs := []telemetry.Event{
+		{Cycle: 9, Seq: 1, Kind: telemetry.EvCommit, Slice: -1, Arg: 9, Arg2: telemetry.CommitDepNone},
+	}
+	if st, err := BuildCPIStack(evs, 9); err == nil {
+		t.Fatalf("built a %d-cycle stack from a commit at cycle 9\n%s", st.Cycles, st.Render())
+	}
+}
+
 // TestCPIStackSquashDropsRecord: a squashed seq must not leak its
 // wrong-path record into a later commit with the same (reused) seq.
 func TestCPIStackSquashDropsRecord(t *testing.T) {
