@@ -44,11 +44,15 @@ vet:
 # themselves fire (those two runs MUST fail).
 check:
 	$(GO) run ./cmd/pok-check -all -insts 30000 -inject -seed 1 -min-faults 100
-	@if $(GO) run ./cmd/pok-check -bench li -corrupt 1000 >/dev/null 2>&1; then \
+	@mkdir -p ci-results
+	@if $(GO) run ./cmd/pok-check -bench li -corrupt 1000 -json ci-results/corrupt.json >/dev/null 2>&1; then \
 		echo "check: seeded corruption went undetected"; exit 1; fi
-	@if $(GO) run ./cmd/pok-check -bench li -wedge 500 -deadlock-budget 2000 >/dev/null 2>&1; then \
+	@if $(GO) run ./cmd/pok-check -bench li -wedge 500 -deadlock-budget 2000 -json ci-results/wedge.json >/dev/null 2>&1; then \
 		echo "check: wedged pipeline went undetected"; exit 1; fi
-	@echo "check: divergence + deadlock detectors verified"
+	@for f in ci-results/corrupt.json ci-results/wedge.json; do \
+		jq -e 'length > 0 and all(.[]; (.trace // []) | length > 0)' $$f >/dev/null || \
+		{ echo "check: $$f: a failure report carries no trace"; exit 1; }; done
+	@echo "check: divergence + deadlock detectors verified, with traces"
 
 # Short native-fuzzing smoke for the assembler and the emulator (the
 # checked-in corpora under internal/*/testdata/fuzz run on every plain

@@ -126,12 +126,15 @@ func BenchmarkFigure11SliceBy2(b *testing.B) { benchFigure11(b, 2) }
 // BenchmarkFigure11SliceBy4 regenerates the slice-by-4 IPC stacks.
 func BenchmarkFigure11SliceBy4(b *testing.B) { benchFigure11(b, 4) }
 
-// BenchmarkSoakCheckpointed runs a checked soak campaign the way a fleet
-// worker does: four generated programs over the default config ×
-// scheduler matrix, metrics on, a drained snapshot every 256
-// instructions, and a CellCursor hook that holds each snapshot as the
-// worker holds its resume cursor. It is the soak-side counterpart of the
-// Figure 11 benchmarks for `make prof`.
+// BenchmarkSoakCheckpointed runs a checked soak campaign shaped like a
+// fleet worker's: four generated programs over the default config ×
+// scheduler matrix, metrics on, a drain every 256 instructions, and a
+// CellCursor hook that holds each snapshot as the worker holds its
+// resume cursor. Unlike the worker, which captures a snapshot only when
+// a keepalive could send it (soak.Options.CursorDue), it leaves
+// CursorDue nil and so captures every one: it times the
+// every-snapshot path that pok-soak's cursor file takes. It is the
+// soak-side counterpart of the Figure 11 benchmarks for `make prof`.
 func BenchmarkSoakCheckpointed(b *testing.B) {
 	opts := soak.Options{
 		BaseSeed: 901, Programs: 4, CkptInsts: 256, NoReduce: true,

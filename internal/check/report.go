@@ -159,10 +159,14 @@ func RunChecked(prog *emu.Program, cfg core.Config, opts Options) (*Report, erro
 	// Attach a recorder (unless the caller brought a collector) so a
 	// failure report can include the pipeline event window around the
 	// offending instruction.
+	radius := opts.TraceRadius
+	if radius == 0 {
+		radius = 4
+	}
 	var rec *telemetry.Recorder
 	var acct *profile.Accountant
 	if cfg.Collector == nil {
-		rec = cfg.NewRecorder(0)
+		rec = cfg.NewRecorder(traceRingCap(&cfg, radius))
 		cfg.Collector = rec
 		if opts.KeepTelemetry {
 			acct = profile.NewAccountant(rec)
@@ -238,13 +242,22 @@ func RunChecked(prog *emu.Program, cfg core.Config, opts Options) (*Report, erro
 		rep.FailKind = "error"
 	}
 	if rec != nil {
-		radius := opts.TraceRadius
-		if radius == 0 {
-			radius = 4
-		}
 		rep.Trace = traceWindow(rec.Events(), failSeq, radius)
 	}
 	return rep, nil
+}
+
+// traceRingCap sizes a checked run's event ring to the failure window
+// Report.Trace reads. Between the fetch of the oldest traced
+// instruction and the failure, events come only from instructions then
+// in flight (at most a window) and from those fetched after it (the
+// 2·radius traced ones and at most another window), and each slice of
+// each emits a few of the NumKinds event kinds. The most any workload ×
+// machine × fault mix was seen to need is about half of this. Older
+// events are overwritten by design; the counters and histograms still
+// see them.
+func traceRingCap(cfg *core.Config, radius uint64) int {
+	return (2*cfg.WindowSize + 2*int(radius)) * cfg.Slices * telemetry.NumKinds
 }
 
 func schedulerName(cfg core.Config) string {

@@ -138,35 +138,17 @@ type Sink interface {
 	Write(*Snapshot) error
 }
 
-// MemSink is an in-memory Sink that keeps only the latest snapshot —
-// always full, so the held snapshot is self-contained. The soak harness
-// and the fleet worker use it to carry a resumable cursor without
-// touching disk.
-type MemSink struct {
-	mu   sync.Mutex
-	last *Snapshot
-	n    int
-}
-
-// WantFull always reports true: an in-memory snapshot has no parent
-// file for a delta to reference.
-func (m *MemSink) WantFull() bool { return true }
-
-// Write retains the snapshot.
-func (m *MemSink) Write(s *Snapshot) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.last = s
-	m.n++
-	return nil
-}
-
-// Last returns the most recent snapshot (nil if none) and how many have
-// been written.
-func (m *MemSink) Last() (*Snapshot, int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.last, m.n
+// DueSink is a Sink that decides when a periodic snapshot is worth
+// capturing. A checkpointing run asks Due at every periodic mark once
+// the pipeline has drained: false skips the capture and the Write (the
+// drain itself always happens, since the cadence is part of the run's
+// timing), and the emulator's dirty pages accumulate until the next
+// capture, so a later delta still covers them. The final snapshot of a
+// RequestStop is captured whatever Due says. A plain Sink captures
+// every snapshot.
+type DueSink interface {
+	Sink
+	Due() bool
 }
 
 // Watchdog triggers a graceful stop when the process heap exceeds a

@@ -344,26 +344,6 @@ func TestLoadChainBrokenLinks(t *testing.T) {
 	}
 }
 
-func TestMemSinkKeepsLatest(t *testing.T) {
-	m := &ckpt.MemSink{}
-	if !m.WantFull() {
-		t.Fatal("MemSink must always want full snapshots")
-	}
-	a := sampleSnapshot(false)
-	b := sampleSnapshot(false)
-	b.Meta.Insts = 2
-	if err := m.Write(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Write(b); err != nil {
-		t.Fatal(err)
-	}
-	last, n := m.Last()
-	if n != 2 || last != b {
-		t.Errorf("Last() = (%p, %d), want (%p, 2)", last, n, b)
-	}
-}
-
 func TestWatchdogDeadline(t *testing.T) {
 	fired := make(chan string, 1)
 	w := &ckpt.Watchdog{

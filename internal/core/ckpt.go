@@ -125,20 +125,26 @@ type coreCkpt struct {
 }
 
 // checkpointNow captures a snapshot at the current (quiescent) boundary
-// and hands it to the sink. A nil sink is a no-op, so a plain
-// RequestStop without checkpointing still drains cleanly.
-func (s *Sim) checkpointNow() error {
+// and hands it to the sink, reporting whether it did. A nil sink is a
+// no-op, so a plain RequestStop without checkpointing still drains
+// cleanly. A periodic snapshot (final false) is skipped when the sink
+// is a ckpt.DueSink whose Due reports false; a RequestStop's final
+// snapshot is always captured.
+func (s *Sim) checkpointNow(final bool) (bool, error) {
 	if s.ckptSink == nil {
-		return nil
+		return false, nil
+	}
+	if d, ok := s.ckptSink.(ckpt.DueSink); ok && !final && !d.Due() {
+		return false, nil
 	}
 	snap, err := s.captureSnapshot(s.ckptSink.WantFull())
 	if err != nil {
-		return fmt.Errorf("core: checkpoint at %d insts: %w", s.res.Insts, err)
+		return false, fmt.Errorf("core: checkpoint at %d insts: %w", s.res.Insts, err)
 	}
 	if err := s.ckptSink.Write(snap); err != nil {
-		return fmt.Errorf("core: checkpoint at %d insts: %w", s.res.Insts, err)
+		return false, fmt.Errorf("core: checkpoint at %d insts: %w", s.res.Insts, err)
 	}
-	return nil
+	return true, nil
 }
 
 // captureSnapshot builds a complete snapshot of the quiescent machine.

@@ -54,7 +54,10 @@ func runCkpt(t *testing.T, w *workload.Workload, cfg Config, maxInsts, every uin
 			t.Fatal(err)
 		}
 	}
-	if c, ok := sink.(*captureSink); ok {
+	switch c := sink.(type) {
+	case *captureSink:
+		c.sim = s
+	case *dueSink:
 		c.sim = s
 	}
 	s.SetCheckpoint(every, sink, w.Name)
@@ -405,5 +408,71 @@ func TestSnapshotImmutable(t *testing.T) {
 		if !bytes.Equal(ckpt.Encode(s), sink.encoded[i]) {
 			t.Errorf("snapshot %d at %d insts changed after capture", i, s.Meta.Insts)
 		}
+	}
+}
+
+// dueSink is a ckpt.DueSink that answers Due with due, counts how often
+// it was asked, and can request a stop on the Nth ask.
+type dueSink struct {
+	due    bool
+	asked  int
+	stopAt int // 1-based ask to request a stop on; 0 = never
+	sim    *Sim
+	snaps  []*ckpt.Snapshot
+}
+
+func (d *dueSink) WantFull() bool { return true }
+
+func (d *dueSink) Due() bool {
+	d.asked++
+	if d.stopAt > 0 && d.asked == d.stopAt {
+		d.sim.RequestStop("test stop")
+	}
+	return d.due
+}
+
+func (d *dueSink) Write(s *ckpt.Snapshot) error {
+	d.snaps = append(d.snaps, s)
+	return nil
+}
+
+// TestDueSinkSkipsCapture: a sink that never finds a snapshot due is
+// still asked at every periodic drain, receives nothing, and leaves the
+// run's Result bit-identical to one that captures every snapshot at the
+// same cadence; the drain, not the capture, is what shapes timing. A
+// stop requested while a skipped drain is asked still ends the run with
+// a final snapshot.
+func TestDueSinkSkipsCapture(t *testing.T) {
+	const maxInsts, every = 12_000, 1_500
+	w := workload.MustGet("gzip")
+	for _, cfg := range []Config{BitSliced(4), SimplePipelined(2)} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			all := &dueSink{due: true}
+			want := runCkpt(t, w, cfg, maxInsts, every, all)
+			none := &dueSink{}
+			got := runCkpt(t, w, cfg, maxInsts, every, none)
+			if len(all.snaps) < 2 || all.asked != len(all.snaps) {
+				t.Fatalf("every-snapshot sink was asked %d times and got %d snapshots", all.asked, len(all.snaps))
+			}
+			if none.asked != all.asked || len(none.snaps) != 0 {
+				t.Fatalf("never-due sink was asked %d of %d times and got %d snapshots",
+					none.asked, all.asked, len(none.snaps))
+			}
+			if a, b := resultDigest(t, want), resultDigest(t, got); a != b {
+				t.Fatalf("Result with no captures differs from every-capture run:\n%s\n%s",
+					want.Summary(), got.Summary())
+			}
+
+			stop := &dueSink{stopAt: 2}
+			res := runCkpt(t, w, cfg, maxInsts, every, stop)
+			if !res.Stopped || len(stop.snaps) != 1 {
+				t.Fatalf("stopped=%v with %d snapshots, want a stop with one final snapshot",
+					res.Stopped, len(stop.snaps))
+			}
+			if snap := stop.snaps[0]; snap.Meta.Insts != res.Insts || snap.Meta.Insts <= 2*every {
+				t.Errorf("final snapshot at %d insts, run stopped at %d, stop asked past %d",
+					snap.Meta.Insts, res.Insts, 2*every)
+			}
+		})
 	}
 }

@@ -567,12 +567,17 @@ func (s *Sim) drive() (stop string, err error) {
 				for s.ckptEvery > 0 && s.nextCkpt <= s.res.Insts {
 					s.nextCkpt += s.ckptEvery
 				}
-				if err := s.checkpointNow(); err != nil {
+				stop := s.stopReason()
+				captured, err := s.checkpointNow(stop != "")
+				if err != nil {
 					return "", err
 				}
+				if captured && stop == "" {
+					stop = s.stopReason() // the sink's Write may have asked
+				}
 				s.fetchPaused = false
-				if r := s.stopReason(); r != "" {
-					return r, nil
+				if stop != "" {
+					return stop, nil
 				}
 			}
 		}

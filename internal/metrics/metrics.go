@@ -156,15 +156,6 @@ func (s *Snapshot) Squashes() uint64 {
 	return s.Telemetry.Events[telemetry.EvSquash.String()]
 }
 
-// EventsDropped counts telemetry events that fell off bounded recorder
-// rings — surfaced as a red badge on the dashboard.
-func (s *Snapshot) EventsDropped() uint64 {
-	if s.Telemetry == nil {
-		return 0
-	}
-	return s.Telemetry.EventsDropped
-}
-
 // MinstPerSec is the blended throughput: committed instructions per
 // wall second, in millions (0 before any wall time accrues).
 func (s *Snapshot) MinstPerSec() float64 {

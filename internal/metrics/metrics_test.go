@@ -45,7 +45,6 @@ func genSummary(r *rand.Rand) *telemetry.Summary {
 	}
 	s := &telemetry.Summary{
 		CyclesSampled:     uint64(r.Intn(100_000)),
-		EventsDropped:     uint64(r.Intn(3)),
 		ReplayLoadLatency: uint64(r.Intn(50)),
 		ReplayPendingAddr: uint64(r.Intn(50)),
 		ResolvesEarly:     uint64(r.Intn(50)),
@@ -149,14 +148,13 @@ func TestMergePreservesStackInvariant(t *testing.T) {
 }
 
 // TestAddRun: runs fold their stack/summary into the per-config
-// accumulators and the squash/drop counters come from the summary.
+// accumulators and the squash counter comes from the summary.
 func TestAddRun(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	s := &Snapshot{}
 	st1, st2 := genStack(r, "slice2"), genStack(r, "slice2")
 	sum := &telemetry.Summary{
-		Events:        map[string]uint64{"squash": 7, "commit": 100},
-		EventsDropped: 2,
+		Events: map[string]uint64{"squash": 7, "commit": 100},
 	}
 	s.AddRun("slice2", 1000, st1.Cycles, 3, st1, sum, 2*time.Second)
 	s.AddRun("slice2", 500, st2.Cycles, 1, st2, nil, time.Second)
@@ -165,8 +163,8 @@ func TestAddRun(t *testing.T) {
 	if s.Runs != 3 || s.Insts != 1500 || s.Replays != 4 {
 		t.Fatalf("runs=%d insts=%d replays=%d, want 3/1500/4", s.Runs, s.Insts, s.Replays)
 	}
-	if s.Squashes() != 7 || s.EventsDropped() != 2 {
-		t.Fatalf("squashes=%d dropped=%d, want 7/2", s.Squashes(), s.EventsDropped())
+	if s.Squashes() != 7 {
+		t.Fatalf("squashes=%d, want 7", s.Squashes())
 	}
 	if len(s.Stacks) != 1 {
 		t.Fatalf("stacks = %v, want just slice2", s.Stacks)

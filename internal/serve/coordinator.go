@@ -760,13 +760,6 @@ func (c *Coordinator) Status() *Status {
 	if c.journalErr != nil {
 		st.JournalError = c.journalErr.Error()
 	}
-	for _, id := range c.order {
-		for _, cl := range c.jobs[id].cells {
-			if s := cellSnapLocked(cl); s != nil {
-				st.EventsDropped += s.EventsDropped()
-			}
-		}
-	}
 	st.QueueDepth = len(c.queue)
 	names := make([]string, 0, len(c.workers))
 	for n := range c.workers {

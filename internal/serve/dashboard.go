@@ -189,8 +189,6 @@ async function tick() {
       st.journal_error ? 'journal error: ' + st.journal_error : '';
     let badges = '';
     if (st.journal_error) badges += '<span class="badge">journal error</span>';
-    if (st.events_dropped) badges +=
-      '<span class="badge">' + st.events_dropped + ' events dropped</span>';
     document.getElementById('badges').innerHTML = badges;
     document.getElementById('meta').textContent =
       'queue ' + st.queue_depth + ' · lease ' + st.lease_ttl_ms + 'ms' +

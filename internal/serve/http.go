@@ -158,11 +158,8 @@ type Status struct {
 	Build        *metrics.BuildInfo `json:"build,omitempty"`
 	Journal      string             `json:"journal,omitempty"`
 	JournalError string             `json:"journal_error,omitempty"`
-	// EventsDropped totals telemetry events that fell off bounded
-	// recorder rings, fleet-wide — surfaced as a dashboard red badge.
-	EventsDropped uint64         `json:"events_dropped,omitempty"`
-	Workers       []WorkerStatus `json:"workers,omitempty"`
-	Jobs          []JobStatus    `json:"jobs,omitempty"`
+	Workers      []WorkerStatus     `json:"workers,omitempty"`
+	Jobs         []JobStatus        `json:"jobs,omitempty"`
 }
 
 // WorkerStatus is one worker's fleet-side accounting.

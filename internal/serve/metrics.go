@@ -14,13 +14,12 @@ import (
 // NumComponents CPI series, one row per worker, and a fixed-capacity
 // sample ring.
 type FleetMetrics struct {
-	Build         *metrics.BuildInfo `json:"build,omitempty"`
-	QueueDepth    int                `json:"queue_depth"`
-	Draining      bool               `json:"draining,omitempty"`
-	JournalError  string             `json:"journal_error,omitempty"`
-	EventsDropped uint64             `json:"events_dropped,omitempty"`
-	Jobs          []JobMetrics       `json:"jobs,omitempty"`
-	Workers       []WorkerMetrics    `json:"workers,omitempty"`
+	Build        *metrics.BuildInfo `json:"build,omitempty"`
+	QueueDepth   int                `json:"queue_depth"`
+	Draining     bool               `json:"draining,omitempty"`
+	JournalError string             `json:"journal_error,omitempty"`
+	Jobs         []JobMetrics       `json:"jobs,omitempty"`
+	Workers      []WorkerMetrics    `json:"workers,omitempty"`
 	// Samples is the bounded time-series ring (oldest first): one entry
 	// per snapshot-carrying progress event. The dashboard derives the
 	// per-worker throughput sparklines and the wavefront heat-strip
@@ -133,9 +132,6 @@ func (c *Coordinator) Metrics() *FleetMetrics {
 			jm.Cells = append(jm.Cells, cm)
 		}
 		jm.Snapshot = acc
-		if acc != nil {
-			m.EventsDropped += acc.EventsDropped()
-		}
 		m.Jobs = append(m.Jobs, jm)
 	}
 
@@ -199,9 +195,6 @@ func renderProm(m *FleetMetrics) []byte {
 		boolGauge(m.JournalError != ""))
 	p.Gauge("pok_workers", "Workers ever seen by this coordinator.", nil,
 		float64(len(m.Workers)))
-	p.Counter("pok_telemetry_dropped_events_total",
-		"Telemetry events dropped from bounded recorder rings, fleet-wide.",
-		nil, float64(m.EventsDropped))
 
 	for i := range m.Jobs {
 		j := &m.Jobs[i]

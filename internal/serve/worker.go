@@ -63,6 +63,7 @@ type Worker struct {
 	cellsReleased  atomic.Int64
 	soakCkptErrs   atomic.Int64 // soak.Report.CkptErrs, summed over cells
 	lastContact    atomic.Int64 // unix nanos of the last successful RPC
+	captures       atomic.Int64 // mid-program resume snapshots captured
 }
 
 // statsSnapshot assembles the worker's self-reported robustness
@@ -159,9 +160,15 @@ func (w *Worker) runCell(ctx context.Context, a *Assignment) error {
 	}
 }
 
-// encodeSnapshot serializes a held resume snapshot; swapped by the
-// lazy-encoding tests to count encodes.
-var encodeSnapshot = ckpt.Encode
+// Test seams: encodeSnapshot serializes a held resume snapshot (the
+// lazy-encoding tests count encodes), keepaliveSent observes each
+// keepalive heartbeat with the age of the position it carries, and
+// benchRecorder builds a bench cell's recorder.
+var (
+	encodeSnapshot = ckpt.Encode
+	keepaliveSent  = func(Heartbeat, cursorAge) {}
+	benchRecorder  = func(cfg *core.Config) *telemetry.Recorder { return cfg.NewRecorder(-1) }
+)
 
 // cellProgress is the shared progress snapshot the per-program hook
 // writes and the keepalive ticker reads.
@@ -176,12 +183,22 @@ type cellProgress struct {
 	snap *metrics.Snapshot
 	// mid is the instruction-granular position inside the program
 	// `cursor` stands on (InstCkpt jobs only); cleared at every program
-	// boundary. It holds the drained snapshot unencoded: most are
+	// boundary. It holds the captured snapshot unencoded: most are
 	// superseded before any heartbeat carries them.
 	mid *midCursor
+	// at is when the freshest resumable position (a program boundary
+	// or mid) was published; fresh is when a drain last found it young
+	// enough to skip a capture (see due).
+	at, fresh time.Time
 }
 
-// midCursor is a drained mid-program snapshot and its (program, matrix
+// cursorAge is how old a heartbeat's resume position is, and how long
+// ago a drain last found it young enough.
+type cursorAge struct {
+	Age, SinceFresh time.Duration
+}
+
+// midCursor is a captured mid-program snapshot and its (program, matrix
 // cell) position. The snapshot shares no memory with the running
 // machine (see ckpt.Sink), so it can be encoded later, outside any
 // lock; resume encodes it once, on the first heartbeat or release that
@@ -208,11 +225,13 @@ func (p *cellProgress) set(cursor, runs int, findings []soak.Finding) {
 	p.runs = runs
 	p.findings = append([]soak.Finding(nil), findings...)
 	p.mid = nil
+	p.at = time.Now()
 }
 
 // setMid publishes a mid-program position: the campaign is inside
 // matrix cell `cell` of program `program` (which becomes the cursor —
-// it is not complete), and s is the drained snapshot to resume it from.
+// it is not complete), and s is the captured snapshot to resume it
+// from.
 func (p *cellProgress) setMid(runs int, findings []soak.Finding, program, cell int, s *ckpt.Snapshot) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -220,6 +239,24 @@ func (p *cellProgress) setMid(runs int, findings []soak.Finding, program, cell i
 	p.runs = runs
 	p.findings = append([]soak.Finding(nil), findings...)
 	p.mid = &midCursor{program: program, cell: cell, snap: s}
+	p.at = time.Now()
+}
+
+// due is asked at every periodic drain: it reports whether the
+// freshest position is older than maxAge, so the drain must capture a
+// new one. A position is therefore never more than maxAge older than
+// the last drain that skipped its capture, which is at most one drain
+// (and its capture) ago: a heartbeat's position is at most maxAge plus
+// one drain old.
+func (p *cellProgress) due(maxAge time.Duration) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	now := time.Now()
+	if now.Sub(p.at) > maxAge {
+		return true
+	}
+	p.fresh = now
+	return false
 }
 
 func (p *cellProgress) setSnap(snap *metrics.Snapshot) {
@@ -241,10 +278,10 @@ func (p *cellProgress) program() int {
 	return p.cursor
 }
 
-// heartbeat assembles the report to send. A mid-program snapshot is
-// encoded after the lock is released, so the soak hook never waits on
-// an encode.
-func (p *cellProgress) heartbeat(lease, worker string) Heartbeat {
+// heartbeat assembles the report to send and the age of the position
+// it carries. A mid-program snapshot is encoded after the lock is
+// released, so the soak hook never waits on an encode.
+func (p *cellProgress) heartbeat(lease, worker string) (Heartbeat, cursorAge) {
 	p.mu.Lock()
 	hb := Heartbeat{
 		Lease: lease, Worker: worker,
@@ -252,12 +289,14 @@ func (p *cellProgress) heartbeat(lease, worker string) Heartbeat {
 		Findings: append([]soak.Finding(nil), p.findings...),
 		Snapshot: p.snap,
 	}
+	now := time.Now()
+	age := cursorAge{Age: now.Sub(p.at), SinceFresh: now.Sub(p.fresh)}
 	mid := p.mid
 	p.mu.Unlock()
 	if mid != nil {
 		hb.Resume = mid.resume()
 	}
-	return hb
+	return hb, age
 }
 
 func (w *Worker) runSoakCell(ctx context.Context, a *Assignment) error {
@@ -274,7 +313,8 @@ func (w *Worker) runSoakCell(ctx context.Context, a *Assignment) error {
 	opts.StartProgram = a.Start
 	opts.Programs = a.End
 
-	prog := &cellProgress{cursor: a.Start}
+	now := time.Now()
+	prog := &cellProgress{cursor: a.Start, at: now, fresh: now}
 	if r := a.Resume; r != nil && r.Program == a.Start {
 		// A previous lease of this cell stopped mid-program, and the
 		// cell's committed runs and findings already cover the matrix
@@ -312,13 +352,22 @@ func (w *Worker) runSoakCell(ctx context.Context, a *Assignment) error {
 	end.Store(int64(a.End))
 	acked.Store(int64(a.Start))
 	if spec.InstCkpt > 0 {
-		// Publish every drained snapshot as the heartbeat's
+		// Capture a snapshot only when a keepalive could need it: when
+		// the freshest position is older than half a keepalive
+		// interval, or when the cell must stop, so the drain-stop
+		// fires at this drain. Every other drain copies nothing.
+		maxAge := keepaliveInterval(a.LeaseTTL) / 2
+		opts.CursorDue = func() bool {
+			return abandoned.Load() || ctx.Err() != nil || prog.due(maxAge)
+		}
+		// Publish every captured snapshot as the heartbeat's
 		// instruction-granular cursor, and turn a cancelled context or
-		// a lost lease into a drain-stop at the next snapshot boundary
-		// — the mid-program analogue of the Progress drain below. The
+		// a lost lease into a drain-stop at this snapshot boundary —
+		// the mid-program analogue of the Progress drain below. The
 		// keepalive ticker carries the cursor upward; no synchronous
 		// RPC here, snapshots are too frequent for that.
 		opts.CellCursor = func(program, cell int, rep *soak.Report, s *ckpt.Snapshot) bool {
+			w.captures.Add(1)
 			prog.setMid(rep.Runs, rep.Findings, program, cell, s)
 			return abandoned.Load() || ctx.Err() != nil
 		}
@@ -353,7 +402,8 @@ func (w *Worker) runSoakCell(ctx context.Context, a *Assignment) error {
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				hb := prog.heartbeat(a.Lease, w.Name)
+				hb, age := prog.heartbeat(a.Lease, w.Name)
+				keepaliveSent(hb, age)
 				hb.Stats = w.statsSnapshot()
 				reply, err := w.Client.Heartbeat(hb)
 				if err != nil {
@@ -395,7 +445,7 @@ func (w *Worker) runSoakCell(ctx context.Context, a *Assignment) error {
 				released.Store(true)
 				return 0, true
 			}
-			hb := prog.heartbeat(a.Lease, w.Name)
+			hb, _ := prog.heartbeat(a.Lease, w.Name)
 			hb.Stats = w.statsSnapshot()
 			reply, err := w.Client.Heartbeat(hb)
 			if err == nil {
@@ -498,7 +548,7 @@ func (w *Worker) runSoakCell(ctx context.Context, a *Assignment) error {
 // releaseCell heartbeats the final cursor and hands the lease back —
 // the graceful-drain path for a SIGTERM'd worker.
 func (w *Worker) releaseCell(a *Assignment, prog *cellProgress) {
-	hb := prog.heartbeat(a.Lease, w.Name)
+	hb, _ := prog.heartbeat(a.Lease, w.Name)
 	hb.Stats = w.statsSnapshot()
 	if _, err := w.Client.Heartbeat(hb); err != nil {
 		w.heartbeatErrs.Add(1)
@@ -569,8 +619,10 @@ func (w *Worker) runBenchCell(ctx context.Context, a *Assignment) error {
 // its standard fast-forward (the same path pok.SimulateBenchmark
 // takes). With collect set it attaches a telemetry recorder and a
 // streaming CPI-stack accountant per run and folds both into the
-// returned snapshot. Both only observe, so BenchRows match the
-// collector-less run exactly.
+// returned snapshot. The cell reads only the recorder's counters and
+// histograms and the accountant's stack, so the recorder keeps no
+// events. Both only observe, so BenchRows match the collector-less run
+// exactly.
 func runBench(bench string, spec *BenchSpec, collect bool) ([]BenchRow, *metrics.Snapshot, error) {
 	wl, err := workload.Get(bench)
 	if err != nil {
@@ -593,7 +645,7 @@ func runBench(bench string, spec *BenchSpec, collect bool) ([]BenchRow, *metrics
 		var rec *telemetry.Recorder
 		var acct *profile.Accountant
 		if collect {
-			rec = cfg.NewRecorder(0)
+			rec = benchRecorder(&cfg)
 			acct = profile.NewAccountant(rec)
 			cfg.Collector = acct
 		}

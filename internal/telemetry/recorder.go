@@ -9,7 +9,7 @@ import "pok/internal/stats"
 // a run that fills the ring records without allocating.
 type Recorder struct {
 	ring   *Ring
-	counts [numKinds]uint64
+	counts [NumKinds]uint64
 
 	cycles    uint64
 	windowOcc *stats.Histogram
@@ -26,7 +26,8 @@ type Recorder struct {
 
 // RecorderConfig sizes a Recorder for one machine configuration.
 type RecorderConfig struct {
-	// RingCap bounds the event ring (DefaultRingCap when 0). It is a
+	// RingCap bounds the event ring (DefaultRingCap when 0; negative
+	// keeps no events, only the counters and histograms). It is a
 	// limit, not a size: the ring grows toward it as events arrive.
 	RingCap int
 	// WindowSize / LSQSize / IssueSlots size the occupancy histograms;
@@ -106,7 +107,7 @@ func (r *Recorder) Dropped() uint64 { return r.ring.Dropped() }
 
 // Summary implements Collector, aggregating everything recorded so far.
 func (r *Recorder) Summary() *Summary {
-	ev := make(map[string]uint64, numKinds)
+	ev := make(map[string]uint64, NumKinds)
 	for i, c := range r.counts {
 		if c > 0 {
 			ev[Kind(i).String()] = c
@@ -115,7 +116,6 @@ func (r *Recorder) Summary() *Summary {
 	return &Summary{
 		CyclesSampled:     r.cycles,
 		Events:            ev,
-		EventsDropped:     r.ring.Dropped(),
 		WindowOcc:         r.windowOcc,
 		IQOcc:             r.iqOcc,
 		LSQOcc:            r.lsqOcc,

@@ -25,13 +25,12 @@ const DefaultRingCap = 1 << 21
 // capacity bound, when that is smaller).
 const initialRingCap = 1024
 
-// NewRing creates a ring holding up to capacity events. It allocates
-// room for at most initialRingCap events; Record grows the array
-// toward capacity as events arrive.
+// NewRing creates a ring holding up to capacity events (none when
+// capacity <= 0: every event is counted as dropped). It allocates room
+// for at most initialRingCap events; Record grows the array toward
+// capacity as events arrive.
 func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
+	capacity = max(capacity, 0)
 	return &Ring{buf: make([]Event, 0, min(capacity, initialRingCap)), limit: capacity}
 }
 
@@ -44,12 +43,15 @@ func (r *Ring) Record(ev Event) {
 		r.buf = append(r.buf, ev)
 		return
 	}
+	r.dropped++
+	if r.limit == 0 {
+		return
+	}
 	r.buf[r.next] = ev
 	r.next++
 	if r.next == r.limit {
 		r.next = 0
 	}
-	r.dropped++
 }
 
 // grow doubles the backing array, clamped to the capacity bound so the

@@ -9,15 +9,16 @@ import (
 // TestRingModel drives rings of several capacities against a reference
 // that keeps the last capacity events in a plain slice, across the
 // empty, just-below, exactly-full, just-wrapped and multiply-wrapped
-// fills, including capacities either side of the initial backing size.
+// fills, including a ring that keeps no events and capacities either
+// side of the initial backing size.
 func TestRingModel(t *testing.T) {
-	for _, capacity := range []int{1, 3, initialRingCap, initialRingCap + 1, 5000} {
+	for _, capacity := range []int{0, 1, 3, initialRingCap, initialRingCap + 1, 5000} {
 		for _, n := range []int{0, capacity - 1, capacity, capacity + 1, 3*capacity + 2} {
 			t.Run(fmt.Sprintf("cap%d/n%d", capacity, n), func(t *testing.T) {
 				r := NewRing(capacity)
 				var ref []Event
 				for i := 0; i < n; i++ {
-					ev := Event{Cycle: int64(i), Seq: uint64(i), Kind: Kind(i % numKinds), Slice: -1}
+					ev := Event{Cycle: int64(i), Seq: uint64(i), Kind: Kind(i % NumKinds), Slice: -1}
 					r.Record(ev)
 					ref = append(ref, ev)
 					if len(ref) > capacity {

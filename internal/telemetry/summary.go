@@ -20,8 +20,6 @@ type Summary struct {
 	// Events maps event-kind name -> count over the whole run (counted
 	// even when the ring has since overwritten the event itself).
 	Events map[string]uint64 `json:"events"`
-	// EventsDropped is how many events fell off the bounded ring.
-	EventsDropped uint64 `json:"events_dropped"`
 
 	// Per-stage occupancy distributions, one sample per cycle.
 	WindowOcc *stats.Histogram `json:"window_occupancy"`
@@ -57,7 +55,6 @@ func (s *Summary) Merge(o *Summary) {
 	for k, n := range o.Events {
 		s.Events[k] += n
 	}
-	s.EventsDropped += o.EventsDropped
 	mergeHist(&s.WindowOcc, o.WindowOcc)
 	mergeHist(&s.IQOcc, o.IQOcc)
 	mergeHist(&s.LSQOcc, o.LSQOcc)
@@ -113,11 +110,8 @@ func (s *Summary) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "telemetry: %d cycles sampled, %d events",
 		s.CyclesSampled, s.totalEvents())
-	if s.EventsDropped > 0 {
-		fmt.Fprintf(&b, " (%d dropped from ring)", s.EventsDropped)
-	}
 	b.WriteByte('\n')
-	for i := 0; i < numKinds; i++ {
+	for i := 0; i < NumKinds; i++ {
 		name := Kind(i).String()
 		if n := s.Events[name]; n > 0 {
 			fmt.Fprintf(&b, "  %-15s %d\n", name, n)

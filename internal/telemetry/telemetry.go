@@ -65,7 +65,8 @@ const (
 	// EvSquash: a wrong-path instruction was removed from the machine.
 	EvSquash
 
-	numKinds = int(EvSquash) + 1
+	// NumKinds is the size of the taxonomy.
+	NumKinds = int(EvSquash) + 1
 )
 
 // Replay causes (EvReplay.Arg2).
@@ -141,7 +142,7 @@ const (
 	ResolveEarly
 )
 
-var kindNames = [numKinds]string{
+var kindNames = [NumKinds]string{
 	EvFetch:         "fetch",
 	EvDispatch:      "dispatch",
 	EvSliceIssue:    "slice-issue",
@@ -157,7 +158,7 @@ var kindNames = [numKinds]string{
 // String returns the stable wire name of the kind (used by the JSONL
 // dump and the golden event-stream tests).
 func (k Kind) String() string {
-	if int(k) < numKinds {
+	if int(k) < NumKinds {
 		return kindNames[k]
 	}
 	return "unknown"

@@ -7,7 +7,7 @@ import (
 )
 
 func TestKindNamesRoundTrip(t *testing.T) {
-	for k := 0; k < numKinds; k++ {
+	for k := 0; k < NumKinds; k++ {
 		name := Kind(k).String()
 		if name == "" || name == "unknown" {
 			t.Fatalf("kind %d has no wire name", k)
