@@ -113,15 +113,20 @@ bench:
 # soak campaign a fleet worker runs (oracle, invariant checker and
 # snapshot capture): each lands in .bench_build/prof/ (with the test
 # binary that resolves its symbols) and its cumulative top is printed.
+# The soak campaign also gets a heap profile, printed by bytes
+# allocated, since its per-run setup allocation is its GC cost.
 # Under fifteen seconds.
 prof:
 	@mkdir -p .bench_build/prof
 	@for b in Figure11SliceBy2 Figure11SliceBy4 SoakCheckpointed; do \
+		mem=; [ $$b = SoakCheckpointed ] && mem="-memprofile .bench_build/prof/$$b.mem"; \
 		$(GO) test -run '^$$' -bench "^Benchmark$$b\$$" -benchtime 3x \
-			-cpuprofile .bench_build/prof/$$b.prof \
+			-cpuprofile .bench_build/prof/$$b.prof $$mem \
 			-o .bench_build/prof/pok.test . || exit 1; \
 		$(GO) tool pprof -top -cum -nodecount 30 .bench_build/prof/pok.test \
 			.bench_build/prof/$$b.prof || exit 1; \
+		[ -z "$$mem" ] || $(GO) tool pprof -sample_index=alloc_space -top -nodecount 20 \
+			.bench_build/prof/pok.test .bench_build/prof/$$b.mem || exit 1; \
 	done
 
 # The benchmark module's own self-test (perfbench is a separate

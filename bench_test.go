@@ -134,8 +134,10 @@ func BenchmarkFigure11SliceBy4(b *testing.B) { benchFigure11(b, 4) }
 // a keepalive could send it (soak.Options.CursorDue), it leaves
 // CursorDue nil and so captures every one: it times the
 // every-snapshot path that pok-soak's cursor file takes. It is the
-// soak-side counterpart of the Figure 11 benchmarks for `make prof`.
+// soak-side counterpart of the Figure 11 benchmarks for `make prof`,
+// and reports allocations per campaign next to its time.
 func BenchmarkSoakCheckpointed(b *testing.B) {
+	b.ReportAllocs()
 	opts := soak.Options{
 		BaseSeed: 901, Programs: 4, CkptInsts: 256, NoReduce: true,
 		OutDir:   b.TempDir(),

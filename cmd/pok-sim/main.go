@@ -135,10 +135,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if w.FastForward > 0 {
-			if err := sim.FastForward(w.FastForward); err != nil {
-				fatal(err)
-			}
+		if err := sim.FastForward(w.FastForward); err != nil {
+			fatal(err)
 		}
 	default:
 		fatal(fmt.Errorf("need -bench, -asm or -resume (try -list)"))

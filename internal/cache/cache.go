@@ -31,9 +31,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache %s: geometry must be powers of two", c.Name)
 	case c.SizeBytes < c.LineBytes*c.Assoc:
 		return fmt.Errorf("cache %s: fewer than one set", c.Name)
+	case c.Assoc > maxAssoc:
+		return fmt.Errorf("cache %s: more than %d ways", c.Name, maxAssoc)
 	}
 	return nil
 }
+
+// maxAssoc is the most ways a set may have: the MRU way pointer is a
+// byte.
+const maxAssoc = 256
 
 type line struct {
 	valid bool
@@ -49,9 +55,12 @@ type Cache struct {
 	nSets      int
 	offsetBits int
 	indexBits  int
-	sets       [][]line
-	mru        []int
-	clock      uint64
+	// lines holds every set's ways in one flat array, set-major: set
+	// s is lines[s*assoc : (s+1)*assoc]. A per-set slice header would
+	// cost 24 bytes a set and a pointer the GC must scan.
+	lines []line
+	mru   []uint8
+	clock uint64
 
 	// Stats.
 	Accesses   uint64
@@ -68,22 +77,13 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc)
-	// One flat backing array for every set: a per-set make() cost
-	// thousands of tiny GC-tracked objects per simulator construction
-	// (visible in pok-bench's all-in wall time), and the contiguous
-	// layout keeps neighbouring sets on shared cache lines.
-	backing := make([]line, nSets*cfg.Assoc)
-	sets := make([][]line, nSets)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
 	return &Cache{
 		cfg:        cfg,
 		nSets:      nSets,
 		offsetBits: bits.TrailingZeros(uint(cfg.LineBytes)),
 		indexBits:  bits.TrailingZeros(uint(nSets)),
-		sets:       sets,
-		mru:        make([]int, nSets),
+		lines:      make([]line, nSets*cfg.Assoc),
+		mru:        make([]uint8, nSets),
 	}, nil
 }
 
@@ -120,11 +120,18 @@ func (c *Cache) split(addr uint32) (set uint32, tag uint32) {
 	return set, tag
 }
 
+// ways returns set's lines.
+func (c *Cache) ways(set uint32) []line {
+	a := c.cfg.Assoc
+	i := int(set) * a
+	return c.lines[i : i+a : i+a]
+}
+
 // Lookup reports whether addr hits without updating any state.
 func (c *Cache) Lookup(addr uint32) bool {
 	set, tag := c.split(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
+	for _, w := range c.ways(set) {
+		if w.valid && w.tag == tag {
 			return true
 		}
 	}
@@ -147,12 +154,12 @@ func (c *Cache) reference(addr uint32, write bool) bool {
 	}
 	c.clock++
 	set, tag := c.split(addr)
-	ways := c.sets[set]
+	ways := c.ways(set)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i].lru = c.clock
 			ways[i].dirty = ways[i].dirty || write
-			c.mru[set] = i
+			c.mru[set] = uint8(i)
 			return true
 		}
 	}
@@ -171,7 +178,7 @@ func (c *Cache) reference(addr uint32, write bool) bool {
 		c.Writebacks++
 	}
 	ways[victim] = line{valid: true, dirty: write, tag: tag, lru: c.clock}
-	c.mru[set] = victim
+	c.mru[set] = uint8(victim)
 	return false
 }
 
@@ -235,7 +242,7 @@ func (c *Cache) ClassifyPartial(addr uint32, tagBitsKnown int) PartialKind {
 	}
 	matches := 0
 	fullMatch := false
-	for _, w := range c.sets[set] {
+	for _, w := range c.ways(set) {
 		if w.valid && w.tag&mask == tag&mask {
 			matches++
 			if w.tag == tag {
@@ -273,7 +280,8 @@ func (c *Cache) PredictWay(addr uint32, tagBitsKnown int) (way int, anyMatch, co
 	}
 	best := -1
 	var bestLRU uint64
-	for i, w := range c.sets[set] {
+	ways := c.ways(set)
+	for i, w := range ways {
 		if w.valid && w.tag&mask == tag&mask {
 			if best < 0 || w.lru > bestLRU {
 				best, bestLRU = i, w.lru
@@ -283,7 +291,7 @@ func (c *Cache) PredictWay(addr uint32, tagBitsKnown int) (way int, anyMatch, co
 	if best < 0 {
 		return -1, false, false
 	}
-	return best, true, c.sets[set][best].tag == tag
+	return best, true, ways[best].tag == tag
 }
 
 // KnownTagBits returns how many low tag bits are known when the low

@@ -37,6 +37,7 @@ func TestValidateRejectsBadGeometry(t *testing.T) {
 		{SizeBytes: 0, LineBytes: 16, Assoc: 2},
 		{SizeBytes: 64, LineBytes: 64, Assoc: 4}, // < 1 set
 		{SizeBytes: 256, LineBytes: 16, Assoc: 3},
+		{SizeBytes: 64 << 10, LineBytes: 64, Assoc: 1024}, // MRU way exceeds a byte
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

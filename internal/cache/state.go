@@ -36,18 +36,15 @@ func (c *Cache) State() *CacheState {
 		Accesses: c.Accesses, Misses: c.Misses,
 		Writes: c.Writes, Writebacks: c.Writebacks,
 	}
-	for si, set := range c.sets {
-		for wi := range set {
-			i := si*assoc + wi
-			if set[wi].valid {
-				st.Valid[i] = 1
-			}
-			if set[wi].dirty {
-				st.Dirty[i] = 1
-			}
-			st.Tag[i] = set[wi].tag
-			st.LRU[i] = set[wi].lru
+	for i, w := range c.lines {
+		if w.valid {
+			st.Valid[i] = 1
 		}
+		if w.dirty {
+			st.Dirty[i] = 1
+		}
+		st.Tag[i] = w.tag
+		st.LRU[i] = w.lru
 	}
 	for i, w := range c.mru {
 		st.MRU[i] = int32(w)
@@ -67,23 +64,20 @@ func (c *Cache) Restore(st *CacheState) error {
 		len(st.LRU) != n || len(st.MRU) != c.nSets {
 		return fmt.Errorf("cache %s: restore: inconsistent arrays", c.cfg.Name)
 	}
-	for si, set := range c.sets {
-		for wi := range set {
-			i := si*assoc + wi
-			set[wi] = line{
-				valid: st.Valid[i] != 0,
-				dirty: st.Dirty[i] != 0,
-				tag:   st.Tag[i],
-				lru:   st.LRU[i],
-			}
+	for i := range c.lines {
+		c.lines[i] = line{
+			valid: st.Valid[i] != 0,
+			dirty: st.Dirty[i] != 0,
+			tag:   st.Tag[i],
+			lru:   st.LRU[i],
 		}
 	}
 	for i := range c.mru {
-		w := int(st.MRU[i])
-		if w < 0 || w >= assoc {
+		w := st.MRU[i]
+		if w < 0 || int(w) >= assoc {
 			return fmt.Errorf("cache %s: restore: MRU way %d out of range", c.cfg.Name, w)
 		}
-		c.mru[i] = w
+		c.mru[i] = uint8(w)
 	}
 	c.clock = st.Clock
 	c.Accesses, c.Misses = st.Accesses, st.Misses

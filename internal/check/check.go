@@ -34,6 +34,7 @@ import (
 type Oracle struct {
 	em        *emu.Emulator
 	committed uint64
+	d         emu.DynInst // the reference record, reused for every commit
 }
 
 // NewOracle builds the reference emulator for prog and fast-forwards it
@@ -72,10 +73,11 @@ func (o *Oracle) Committed() uint64 { return o.committed }
 func (o *Oracle) Emulator() *emu.Emulator { return o.em }
 
 // CheckCommit implements core.CommitChecker: step the reference once and
-// diff the committed record against it.
+// diff the committed record against it. A matching commit allocates
+// nothing: the reference steps into a record the oracle holds.
 func (o *Oracle) CheckCommit(r *core.CommitRecord) error {
-	d, err := o.em.Step()
-	if err != nil {
+	d := &o.d
+	if err := o.em.StepInto(d); err != nil {
 		if errors.Is(err, emu.ErrHalted) {
 			return o.div(r, "stream", "halted reference (no instruction left)",
 				fmt.Sprintf("commit of pc=0x%x", r.PC))

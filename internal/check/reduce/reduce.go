@@ -16,6 +16,7 @@ import (
 	"pok/internal/asm"
 	"pok/internal/check"
 	"pok/internal/core"
+	"pok/internal/emu"
 	"pok/internal/sig"
 )
 
@@ -44,31 +45,58 @@ type Runner func(src string) RunResult
 // Classify maps a check.Report to its failure signature (sig.Classify).
 func Classify(rep *check.Report) Outcome { return sig.Classify(rep) }
 
+// Assembled is a program source assembled once for any number of
+// runs: Prog, or — when assembly failed — Failed, the result every run
+// of the source reports (Outcome "error", or "panic" for a recovered
+// assembler panic).
+type Assembled struct {
+	Prog   *emu.Program
+	Failed RunResult
+}
+
+// Assemble assembles src, recovering an assembler panic.
+func Assemble(src string) (a Assembled) {
+	defer func() {
+		if r := recover(); r != nil {
+			a = Assembled{Failed: panicked(r)}
+		}
+	}()
+	prog, err := asm.Assemble(src)
+	if err != nil {
+		return Assembled{Failed: RunResult{Outcome: Outcome{Kind: "error"}, Err: err.Error()}}
+	}
+	return Assembled{Prog: prog}
+}
+
 // CheckRunner builds a Runner that assembles src and executes it under
-// check.RunChecked with cfg/opts. A panic anywhere in assembly or
-// simulation is recovered into Outcome{Kind: "panic"}; a run exceeding
-// watchdog wall-clock is classified Outcome{Kind: "timeout"} (the
-// runaway goroutine is abandoned — acceptable for a test harness, and
-// the per-run deadlock watchdog inside the core bounds the common
-// case). watchdog <= 0 disables the wall-clock bound.
+// check.RunChecked with cfg/opts (ProgramRunner over Assemble).
 func CheckRunner(cfg core.Config, opts check.Options, watchdog time.Duration) Runner {
-	return func(src string) RunResult {
+	run := ProgramRunner(cfg, opts, watchdog)
+	return func(src string) RunResult { return run(Assemble(src)) }
+}
+
+// ProgramRunner builds a runner that executes an assembled program
+// under check.RunChecked with cfg/opts; a failed assembly returns its
+// Failed result. The program is only read, so one assembly serves many
+// runs. A panic anywhere in simulation is recovered into
+// Outcome{Kind: "panic"}; a run exceeding watchdog wall-clock is
+// classified Outcome{Kind: "timeout"} (the runaway goroutine is
+// abandoned — acceptable for a test harness, and the per-run deadlock
+// watchdog inside the core bounds the common case). watchdog <= 0
+// disables the wall-clock bound.
+func ProgramRunner(cfg core.Config, opts check.Options, watchdog time.Duration) func(Assembled) RunResult {
+	return func(a Assembled) RunResult {
+		if a.Prog == nil {
+			return a.Failed
+		}
 		done := make(chan RunResult, 1)
 		go func() {
 			defer func() {
 				if r := recover(); r != nil {
-					done <- RunResult{
-						Outcome: Outcome{Kind: "panic"},
-						Err:     fmt.Sprintf("panic: %v\n%s", r, debug.Stack()),
-					}
+					done <- panicked(r)
 				}
 			}()
-			prog, err := asm.Assemble(src)
-			if err != nil {
-				done <- RunResult{Outcome: Outcome{Kind: "error"}, Err: err.Error()}
-				return
-			}
-			rep, err := check.RunChecked(prog, cfg, opts)
+			rep, err := check.RunChecked(a.Prog, cfg, opts)
 			if err != nil {
 				done <- RunResult{Outcome: Outcome{Kind: "error"}, Err: err.Error()}
 				return
@@ -89,6 +117,15 @@ func CheckRunner(cfg core.Config, opts check.Options, watchdog time.Duration) Ru
 				Err:     fmt.Sprintf("run exceeded watchdog %v", watchdog),
 			}
 		}
+	}
+}
+
+// panicked is the result of a run that panicked with r; call it from
+// the deferred recover so the stack is the panic's.
+func panicked(r any) RunResult {
+	return RunResult{
+		Outcome: Outcome{Kind: "panic"},
+		Err:     fmt.Sprintf("panic: %v\n%s", r, debug.Stack()),
 	}
 }
 

@@ -25,9 +25,6 @@ type Options struct {
 	Invariants *core.InvariantConfig
 	// Injector, when non-nil, is installed as core.Config.Inject.
 	Injector core.Injector
-	// TraceRadius selects events within +/- this many sequence numbers
-	// of the failing instruction for Report.Trace (0 = default 4).
-	TraceRadius uint64
 	// KeepTelemetry exposes the run's telemetry summary and CPI stack
 	// on the report (Report.Telemetry, Report.Stack) even on success,
 	// for the fleet metrics pipeline. It chains a streaming CPI-stack
@@ -159,14 +156,10 @@ func RunChecked(prog *emu.Program, cfg core.Config, opts Options) (*Report, erro
 	// Attach a recorder (unless the caller brought a collector) so a
 	// failure report can include the pipeline event window around the
 	// offending instruction.
-	radius := opts.TraceRadius
-	if radius == 0 {
-		radius = 4
-	}
 	var rec *telemetry.Recorder
 	var acct *profile.Accountant
 	if cfg.Collector == nil {
-		rec = cfg.NewRecorder(traceRingCap(&cfg, radius))
+		rec = cfg.NewRecorder(traceRingCap(&cfg))
 		cfg.Collector = rec
 		if opts.KeepTelemetry {
 			acct = profile.NewAccountant(rec)
@@ -179,7 +172,7 @@ func RunChecked(prog *emu.Program, cfg core.Config, opts Options) (*Report, erro
 		sim, err = core.NewSimFromSnapshot(opts.Resume, cfg, opts.MaxInsts)
 	} else {
 		sim, err = core.NewSim(prog, cfg, opts.MaxInsts)
-		if err == nil && opts.Warmup > 0 {
+		if err == nil {
 			err = sim.FastForward(opts.Warmup)
 		}
 	}
@@ -242,22 +235,26 @@ func RunChecked(prog *emu.Program, cfg core.Config, opts Options) (*Report, erro
 		rep.FailKind = "error"
 	}
 	if rec != nil {
-		rep.Trace = traceWindow(rec.Events(), failSeq, radius)
+		rep.Trace = traceWindow(rec.Events(), failSeq)
 	}
 	return rep, nil
 }
+
+// traceRadius is how many sequence numbers either side of the failing
+// instruction Report.Trace covers.
+const traceRadius = 4
 
 // traceRingCap sizes a checked run's event ring to the failure window
 // Report.Trace reads. Between the fetch of the oldest traced
 // instruction and the failure, events come only from instructions then
 // in flight (at most a window) and from those fetched after it (the
-// 2·radius traced ones and at most another window), and each slice of
-// each emits a few of the NumKinds event kinds. The most any workload ×
+// 2·traceRadius traced ones and at most another window), and each slice
+// of each emits a few of the NumKinds event kinds. The most any workload ×
 // machine × fault mix was seen to need is about half of this. Older
 // events are overwritten by design; the counters and histograms still
 // see them.
-func traceRingCap(cfg *core.Config, radius uint64) int {
-	return (2*cfg.WindowSize + 2*int(radius)) * cfg.Slices * telemetry.NumKinds
+func traceRingCap(cfg *core.Config) int {
+	return (2*cfg.WindowSize + 2*traceRadius) * cfg.Slices * telemetry.NumKinds
 }
 
 func schedulerName(cfg core.Config) string {
@@ -268,10 +265,10 @@ func schedulerName(cfg core.Config) string {
 }
 
 // traceWindow renders the telemetry events near the failing instruction:
-// every ring event whose sequence number is within radius of seq, or the
-// tail of the ring when no instruction is identifiable (seq 0, e.g. a
-// deadlock) — the most recent events are the relevant ones there.
-func traceWindow(events []telemetry.Event, seq, radius uint64) []string {
+// every ring event whose sequence number is within traceRadius of seq,
+// or the tail of the ring when no instruction is identifiable (seq 0,
+// e.g. a deadlock) — the most recent events are the relevant ones there.
+func traceWindow(events []telemetry.Event, seq uint64) []string {
 	const tailLen = 32
 	var out []string
 	if seq == 0 {
@@ -285,10 +282,10 @@ func traceWindow(events []telemetry.Event, seq, radius uint64) []string {
 		return out
 	}
 	lo := uint64(0)
-	if seq > radius {
-		lo = seq - radius
+	if seq > traceRadius {
+		lo = seq - traceRadius
 	}
-	hi := seq + radius
+	hi := seq + traceRadius
 	for i := range events {
 		ev := &events[i]
 		if ev.Seq >= lo && ev.Seq <= hi {

@@ -70,7 +70,7 @@ func TestTraceWindowRing(t *testing.T) {
 			case ref.Invariant != nil:
 				seq = ref.Invariant.Seq
 			}
-			want := traceWindow(rec.Events(), seq, 4)
+			want := traceWindow(rec.Events(), seq)
 			if len(want) == 0 {
 				t.Fatal("the unbounded ring yields an empty trace")
 			}
@@ -78,7 +78,7 @@ func TestTraceWindowRing(t *testing.T) {
 				t.Fatalf("window-ring trace (%d lines) differs from the unbounded one (%d lines)\ngot:  %q\nwant: %q",
 					len(rep.Trace), len(want), rep.Trace, want)
 			}
-			t.Logf("%d events in the run, ring of %d", len(rec.Events()), traceRingCap(&tc.cfg, 4))
+			t.Logf("%d events in the run, ring of %d", len(rec.Events()), traceRingCap(&tc.cfg))
 		})
 	}
 }

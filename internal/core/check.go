@@ -49,7 +49,9 @@ type CommitRecord struct {
 // CommitChecker is the lockstep oracle interface: the core calls
 // CheckCommit once per committed instruction, in commit order. A non-nil
 // error aborts the run immediately — the first divergence is the one
-// worth reporting; everything after it is noise.
+// worth reporting; everything after it is noise. The record is valid
+// only during the call: the core refills the same record for the next
+// commit, so a checker that needs a field later must copy it.
 type CommitChecker interface {
 	CheckCommit(r *CommitRecord) error
 }
@@ -78,7 +80,8 @@ type Injector interface {
 	// stalls and retries, as under a partial-address match of §5.1).
 	ForceAliasConflict(seq uint64) bool
 	// MutateCommit may corrupt the commit record before the oracle sees
-	// it — a test hook to prove divergence detection works.
+	// it — a test hook to prove divergence detection works. Like
+	// CheckCommit, it may not keep the record past the call.
 	MutateCommit(r *CommitRecord)
 }
 

@@ -33,12 +33,14 @@ func (s *Sim) commit() (int, error) {
 			// against the functional reference before any bookkeeping, so
 			// a divergence report reflects the machine exactly as it
 			// committed the bad instruction.
-			var rec CommitRecord
-			s.makeCommitRecord(e, &rec)
+			// The Sim's one record is refilled per commit: a local would
+			// escape through the interface call and cost a heap object.
+			rec := &s.commitRec
+			s.makeCommitRecord(e, rec)
 			if s.injOn {
-				s.inj.MutateCommit(&rec) // deliberate-corruption test hook
+				s.inj.MutateCommit(rec) // deliberate-corruption test hook
 			}
-			if err := s.cfg.Oracle.CheckCommit(&rec); err != nil {
+			if err := s.cfg.Oracle.CheckCommit(rec); err != nil {
 				return n, fmt.Errorf("core: commit oracle (seq %d, cycle %d): %w",
 					e.seq, s.now, err)
 			}

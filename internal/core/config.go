@@ -150,7 +150,8 @@ type Config struct {
 	// architectural record in commit order — the lockstep functional
 	// oracle of internal/check diffs it against an independent emulator
 	// and aborts the run at the first divergence. Nil costs one cached
-	// boolean at commit.
+	// boolean at commit. The record it receives is valid only during the
+	// call (see CommitChecker).
 	Oracle CommitChecker
 
 	// Invariants, when non-nil, enables the per-cycle structural

@@ -7,6 +7,7 @@ import (
 
 	"pok/internal/asm"
 	"pok/internal/emu"
+	"pok/internal/workload"
 )
 
 func mustProg(t *testing.T, src string) *emu.Program {
@@ -707,6 +708,43 @@ func TestResultSummary(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("summary missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestFastForwardZeroIsNoop: li's FastForward is 0, and passing it
+// straight through must execute nothing (emu.Run would read 0 as "no
+// limit" and run li to its exit before timing began); the timed run is
+// then the plain run.
+func TestFastForwardZeroIsNoop(t *testing.T) {
+	w := workload.MustGet("li")
+	if w.FastForward != 0 {
+		t.Fatalf("li fast-forwards %d instructions; the test needs 0", w.FastForward)
+	}
+	prog, err := w.Program(w.DefaultScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 5_000
+	s, err := NewSim(prog, BitSliced(2), budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FastForward(w.FastForward); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.em.InstCount(); n != 0 {
+		t.Fatalf("FastForward(0) executed %d instructions", n)
+	}
+	got, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(prog, BitSliced(2), budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := resultDigest(t, got), resultDigest(t, want); a != b {
+		t.Fatalf("result digest %s after FastForward(0), %s for a plain run", a, b)
 	}
 }
 

@@ -289,6 +289,9 @@ type Sim struct {
 
 	regProd [isa.NumRegs]*entry
 
+	// commitRec is refilled for each commit the oracle checks.
+	commitRec CommitRecord
+
 	// Event-driven scheduler state (see sched_event.go). legacy mirrors
 	// cfg.LegacyScheduler.
 	legacy     bool
@@ -489,10 +492,13 @@ func (s *Sim) recycleRetired() {
 
 // FastForward functionally executes n instructions before timing begins,
 // skipping initialization phases the way the paper's 1B-instruction
-// fast-forward does. It must be called before Run.
+// fast-forward does; n = 0 does nothing. It must be called before Run.
 func (s *Sim) FastForward(n uint64) error {
 	if s.now != 0 || s.fetchedCnt != 0 {
 		return fmt.Errorf("core: FastForward after simulation started")
+	}
+	if n == 0 {
+		return nil // emu.Run reads 0 as "no limit"
 	}
 	_, err := s.em.Run(n, nil)
 	return err
@@ -510,10 +516,8 @@ func RunWarm(prog *emu.Program, cfg Config, warmup, maxInsts uint64) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	if warmup > 0 {
-		if err := s.FastForward(warmup); err != nil {
-			return nil, err
-		}
+	if err := s.FastForward(warmup); err != nil {
+		return nil, err
 	}
 	return s.Run()
 }

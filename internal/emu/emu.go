@@ -82,12 +82,14 @@ type Emulator struct {
 	// the dense uop window below.
 	decodeCache map[uint32]isa.Inst
 
-	// Direct-threaded fast-path state (see uop.go). utab is the dense
-	// predecode window starting at ubase; ufall/uerr the bounded
-	// fallback cache for out-of-window PCs; npc and trap carry the next
-	// PC and any fault out of a handler; uscratch is the no-cache decode
-	// buffer once ufall is full.
+	// Direct-threaded fast-path state (see uop.go). The dense predecode
+	// window covers ulen uops from ubase; utab is its materialized
+	// prefix, grown on demand. ufall/uerr are the bounded fallback cache
+	// for out-of-window PCs; npc and trap carry the next PC and any
+	// fault out of a handler; uscratch is the no-cache decode buffer
+	// once ufall is full.
 	ubase    uint32
+	ulen     uint32
 	utab     []uop
 	ufall    map[uint32]*uop
 	uerr     map[uint32]error

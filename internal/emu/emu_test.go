@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -680,5 +681,63 @@ func TestOutputCap(t *testing.T) {
 	}
 	if len(e.Output()) > 10 {
 		t.Fatalf("output grew to %d bytes", len(e.Output()))
+	}
+}
+
+// TestNewAllocBound: building an emulator for a short program allocates
+// what the program uses, not the predecode window's 64 KB of slack
+// (about 450 KB of uops when it was allocated whole), while the window
+// a snapshot records keeps its geometry: text plus slack, in uops. The
+// table covers the rest of the window only as execution reaches it.
+func TestNewAllocBound(t *testing.T) {
+	const n = 100
+	text := make([]byte, 0, 4*n)
+	for i := 0; i < n; i++ {
+		in := isa.Inst{Op: isa.OpADDIU, Rs: isa.RegZero, Rt: isa.RegV0, Imm: 10}
+		if i == n-1 {
+			in = isa.Inst{Op: isa.OpSYSCALL}
+		}
+		w, err := isa.Encode(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text = append(text, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
+	}
+	prog := &Program{Entry: DefaultTextBase, Segments: []Segment{
+		{Addr: DefaultTextBase, Data: text},
+		{Addr: DefaultDataBase, Data: make([]byte, 64)},
+	}}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e := New(prog)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("New allocated %d bytes", got)
+	if got >= 64<<10 {
+		t.Errorf("New allocated %d bytes for a %d-instruction program, want < 64 KB", got, n)
+	}
+	st, err := e.Snapshot(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (4*n + denseSlack + 3) >> 2; st.UBase != DefaultTextBase || st.ULen != want {
+		t.Errorf("window %#x+%d uops, want %#x+%d", st.UBase, st.ULen, DefaultTextBase, want)
+	}
+	if len(e.utab) >= st.ULen {
+		t.Errorf("New materialized %d of the window's %d uops", len(e.utab), st.ULen)
+	}
+	if _, err := e.Run(0, nil); err != nil || !e.Halted() || e.InstCount() != n {
+		t.Fatalf("run: %v, halted %v after %d insts", err, e.Halted(), e.InstCount())
+	}
+
+	// A restored window is materialized on demand too, so a snapshot
+	// claiming more than the largest window is refused, not trusted.
+	for _, ulen := range []int{-1, denseMax>>2 + 1} {
+		bad := *st
+		bad.ULen = ulen
+		if _, err := NewFromState(&bad); err == nil {
+			t.Errorf("NewFromState accepted a %d-uop window", ulen)
+		}
 	}
 }

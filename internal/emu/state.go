@@ -35,9 +35,11 @@ type State struct {
 	Inputs   []int32
 	Legacy   bool
 
-	// UBase/ULen record the dense predecode window geometry so restore
-	// rebuilds an empty window of identical shape (decode is lazy and
-	// deterministic from memory, so the table contents need not travel).
+	// UBase/ULen record the dense predecode window geometry (ULen in
+	// uops) so restore rebuilds an empty window of identical shape
+	// (decode is lazy and deterministic from memory, so the table
+	// contents need not travel, and the restored table is materialized
+	// on demand like a fresh one).
 	UBase uint32
 	ULen  int
 
@@ -66,7 +68,7 @@ func (e *Emulator) Snapshot(deltaOnly bool) (*State, error) {
 		Inputs:   append([]int32(nil), e.inputs...),
 		Legacy:   e.legacy,
 		UBase:    e.ubase,
-		ULen:     len(e.utab),
+		ULen:     int(e.ulen),
 		Partial:  deltaOnly,
 	}
 	nums := make([]uint32, 0, len(mem.pages))
@@ -88,14 +90,18 @@ func (e *Emulator) Snapshot(deltaOnly bool) (*State, error) {
 }
 
 // NewFromState reconstructs an emulator from a full (non-partial)
-// snapshot. The dense predecode window is recreated empty with the
-// captured geometry; decode refills lazily from the restored memory, so
+// snapshot. The dense predecode window is recreated with the captured
+// geometry and nothing materialized; decode refills lazily from the
+// restored memory, so
 // execution from here is bit-identical to the original run. (Programs
 // that rewrite instruction words they already executed would re-decode
 // the new bytes; the lockstep oracle catches any such divergence.)
 func NewFromState(st *State) (*Emulator, error) {
 	if st.Partial {
 		return nil, fmt.Errorf("emu: cannot restore from a partial (delta) snapshot; merge the chain first")
+	}
+	if st.ULen < 0 || st.ULen > denseMax>>2 {
+		return nil, fmt.Errorf("emu: predecode window of %d uops out of range", st.ULen)
 	}
 	mem := NewMemory()
 	for _, pg := range st.Pages {
@@ -119,7 +125,7 @@ func NewFromState(st *State) (*Emulator, error) {
 		decodeCache: make(map[uint32]isa.Inst),
 		MaxOutput:   1 << 20,
 		ubase:       st.UBase,
-		utab:        make([]uop, st.ULen),
+		ulen:        uint32(st.ULen),
 	}
 	e.out.WriteString(st.Output)
 	return e, nil

@@ -43,10 +43,14 @@ const (
 // text byte (which decode as NOPs from zeroed memory) stay on the fast
 // path; denseMax caps the window so a program with far-apart segments
 // (text at 0x00400000, data at 0x10000000) does not allocate the span
-// between them.
+// between them. The window is logical: the backing table covers the
+// loaded segments plus densePad uops and doubles on demand (see
+// growDense), so a short program never pays for the slack it does not
+// execute.
 const (
 	denseSlack = 64 << 10
 	denseMax   = 4 << 20
+	densePad   = 64
 	// fallCacheMax bounds the out-of-window decode cache. The legacy
 	// interpreter's map[uint32]isa.Inst grew without bound on wrong-path
 	// or generated programs; beyond this many distinct PCs the fallback
@@ -65,10 +69,11 @@ type FetchError struct {
 func (f *FetchError) Error() string { return fmt.Sprintf("at pc 0x%08x: %v", f.PC, f.Err) }
 func (f *FetchError) Unwrap() error { return f.Err }
 
-// initFast sizes the dense uop window for the loaded program. Forks skip
-// this (utab nil): they execute a handful of wrong-path instructions
-// through the fallback cache, mirroring the fresh per-fork decode map of
-// the legacy interpreter.
+// initFast sizes the dense uop window [ubase, ubase+4*ulen) for the
+// loaded program and materializes the part that covers its segments.
+// Forks skip this (ulen 0): they execute a handful of wrong-path
+// instructions through the fallback cache, mirroring the fresh per-fork
+// decode map of the legacy interpreter.
 func (e *Emulator) initFast(prog *Program) {
 	lo := e.pc &^ 3
 	for _, s := range prog.Segments {
@@ -83,25 +88,44 @@ func (e *Emulator) initFast(prog *Program) {
 			hi = end
 		}
 	}
-	hi += denseSlack
-	if hi-uint64(lo) > denseMax {
-		hi = uint64(lo) + denseMax
-	}
+	loaded := uint32((hi - uint64(lo) + 3) >> 2)
+	hi = min(hi+denseSlack, uint64(lo)+denseMax)
 	e.ubase = lo
-	e.utab = make([]uop, (hi-uint64(lo)+3)>>2)
+	e.ulen = uint32((hi - uint64(lo) + 3) >> 2)
+	e.utab = make([]uop, min(loaded+densePad, e.ulen))
 }
 
-// lookupUop returns the (decoded) uop for the current PC, filling it on
-// first execution. Out-of-window or misaligned PCs go through the
-// bounded fallback cache.
+// growDense materializes the dense window through index i: the table
+// doubles (or reaches i+1, if that is further), capped at ulen. Decoded
+// entries move with it; pointers into the old table are only ever held
+// for the duration of one step.
+func (e *Emulator) growDense(i uint32) {
+	utab := make([]uop, min(max(2*uint32(len(e.utab)), i+1, densePad), e.ulen))
+	copy(utab, e.utab)
+	e.utab = utab
+}
+
+// denseUop returns the window entry u for pc, decoding it on first
+// execution.
+func (e *Emulator) denseUop(u *uop, pc uint32) (*uop, error) {
+	switch u.state {
+	case uopOK:
+		return u, nil
+	case uopBad:
+		return u, e.badUopError(pc)
+	}
+	return e.fillUop(u, pc)
+}
+
+// lookupUop returns the (decoded) uop for a PC outside the materialized
+// part of the dense window. A PC inside the window grows the table to
+// cover it; out-of-window or misaligned PCs go through the bounded
+// fallback cache.
 func (e *Emulator) lookupUop() (*uop, error) {
 	pc := e.pc
-	if off := pc - e.ubase; off>>2 < uint32(len(e.utab)) && off&3 == 0 {
-		u := &e.utab[off>>2]
-		if u.state == uopOK {
-			return u, nil
-		}
-		return e.fillUop(u, pc)
+	if off := pc - e.ubase; off>>2 < e.ulen && off&3 == 0 {
+		e.growDense(off >> 2)
+		return e.denseUop(&e.utab[off>>2], pc)
 	}
 	if u, ok := e.ufall[pc]; ok {
 		if u.state == uopOK {
@@ -196,40 +220,36 @@ func (e *Emulator) StepInto(d *DynInst) error {
 	}
 	pc := e.pc
 	var u *uop
+	var err error
 	if off := pc - e.ubase; off>>2 < uint32(len(e.utab)) && off&3 == 0 {
 		u = &e.utab[off>>2]
 		if u.state != uopOK {
-			if u.state == uopBad {
-				*d = DynInst{}
-				return e.badUopError(pc)
-			}
-			var err error
-			if u, err = e.fillUop(u, pc); err != nil {
-				*d = DynInst{}
-				return err
-			}
+			u, err = e.denseUop(u, pc)
 		}
 	} else {
-		var err error
-		if u, err = e.lookupUop(); err != nil {
-			*d = DynInst{}
-			return err
-		}
+		u, err = e.lookupUop()
+	}
+	if err != nil {
+		*d = DynInst{}
+		return err
 	}
 
-	*d = DynInst{
-		Seq:  e.icount,
-		PC:   pc,
-		Inst: u.inst,
-		NSrc: int(u.nsrc),
-		Src:  u.src,
-		Dst:  isa.RegZero,
-		Dst2: isa.RegZero,
-	}
+	// Field by field rather than a composite literal: the literal is
+	// built in a temporary and copied, which costs a block zero and a
+	// block copy per step.
+	d.Seq = e.icount
+	d.PC = pc
+	d.Inst = u.inst
+	d.NSrc = int(u.nsrc)
+	d.Src = u.src
 	// Unused source slots hold RegZero, whose register value is pinned
 	// at 0, so reading both unconditionally matches the legacy loop.
 	d.SrcVal[0] = e.regs[u.src[0]]
 	d.SrcVal[1] = e.regs[u.src[1]]
+	d.Dst, d.DstVal = isa.RegZero, 0
+	d.Dst2, d.Dst2Val = isa.RegZero, 0
+	d.EffAddr, d.MemSize = 0, 0
+	d.Taken, d.Target, d.NextPC = false, 0, 0
 
 	e.npc = pc + 4
 	h := handlers[u.inst.Op]

@@ -68,10 +68,8 @@ func CkptBench(opt Options) ([]CkptBenchRow, error) {
 		if err != nil {
 			return CkptBenchRow{}, 0, err
 		}
-		if ff > 0 {
-			if err := sim.FastForward(ff); err != nil {
-				return CkptBenchRow{}, 0, fmt.Errorf("exp: ckpt %s/%s: %w", name, mode, err)
-			}
+		if err := sim.FastForward(ff); err != nil {
+			return CkptBenchRow{}, 0, fmt.Errorf("exp: ckpt %s/%s: %w", name, mode, err)
 		}
 		if sink != nil {
 			sim.SetCheckpoint(every, sink, name)

@@ -379,6 +379,11 @@ func Run(opts Options, resume bool) (*Report, error) {
 			_ = workload.RegisterAdHoc(w) // duplicate on resume is fine
 		}
 
+		// One assembly serves the program's whole cell matrix (the
+		// runs only read it); a failed assembly gives every cell the
+		// same outcome.
+		exe := assemble(prog.Source())
+
 		// firstCell/resumeSnap apply to the resume program only; every
 		// later program starts at cell 0 with no snapshot.
 		firstCell := 0
@@ -414,7 +419,7 @@ func Run(opts Options, resume bool) (*Report, error) {
 						hook := *opts.Hook
 						injOpts = &hook
 					}
-					f, stopped := runCell(opts, prog, idx, opts.Configs[ci], cfg, sched,
+					f, stopped := runCell(opts, prog, exe, idx, opts.Configs[ci], cfg, sched,
 						injSeed, injOpts, snap, cell, cellSnap, rep)
 					if stopped {
 						// The in-flight run drained at a checkpoint
@@ -495,6 +500,9 @@ func generate(base gen.Options, seed uint64) (p *gen.Program, panicText string) 
 	return gen.New(o), ""
 }
 
+// assemble is reduce.Assemble; tests count calls through it.
+var assemble = reduce.Assemble
+
 func mixInject(seed, k uint64) uint64 {
 	return gen.ProgramSeed(seed^0x5bd1e995, int(k))
 }
@@ -566,10 +574,11 @@ func (a *cellAttempt) Write(s *ckpt.Snapshot) error {
 // retries, classifies the outcome, and — on failure — reduces it and
 // writes a repro bundle. It returns (nil, false) on a clean run and
 // (nil, true) when the run was drain-stopped mid-flight (cursor already
-// checkpointed; the cell is not finished). With resume non-nil the
+// checkpointed; the cell is not finished). exe is prog assembled; the
+// reducer's candidates assemble their own source. With resume non-nil the
 // detection run restarts from that snapshot instead of the program
 // start; retried (timed-out) attempts restart from the same snapshot.
-func runCell(opts Options, prog *gen.Program, idx int, cfgName string,
+func runCell(opts Options, prog *gen.Program, exe reduce.Assembled, idx int, cfgName string,
 	cfg core.Config, sched string, injSeed uint64, injOpts *inject.Options,
 	snap *metrics.Snapshot, cell int, resume *ckpt.Snapshot, rep *Report) (*Finding, bool) {
 	cfg.LegacyScheduler = sched == "legacy"
@@ -584,7 +593,7 @@ func runCell(opts Options, prog *gen.Program, idx int, cfgName string,
 	// and the reducer is the wall-clock hot path. Likewise only
 	// detection runs checkpoint (att non-nil): reduction candidates are
 	// short, discardable and not resumable by construction.
-	newRunner := func(keep bool, att *cellAttempt) reduce.Runner {
+	runOpts := func(keep bool, att *cellAttempt) check.Options {
 		o := chkOpts
 		o.KeepTelemetry = keep
 		if injOpts != nil {
@@ -596,9 +605,8 @@ func runCell(opts Options, prog *gen.Program, idx int, cfgName string,
 			o.Resume = att.resume
 			o.OnStart = att.onStart
 		}
-		return reduce.CheckRunner(cfg, o, opts.Watchdog)
+		return o
 	}
-	src := prog.Source()
 
 	var res reduce.RunResult
 	t0 := time.Now()
@@ -608,7 +616,7 @@ func runCell(opts Options, prog *gen.Program, idx int, cfgName string,
 			att = &cellAttempt{opts: opts, program: idx, cell: cell,
 				resume: resume, rep: rep, live: true}
 		}
-		res = newRunner(snap != nil, att)(src)
+		res = reduce.ProgramRunner(cfg, runOpts(snap != nil, att), opts.Watchdog)(exe)
 		if att != nil {
 			att.finish()
 		}
@@ -642,7 +650,9 @@ func runCell(opts Options, prog *gen.Program, idx int, cfgName string,
 
 	minBody := prog.Body
 	if !opts.NoReduce {
-		candRunner := func(s string) reduce.RunResult { return newRunner(false, nil)(s) }
+		candRunner := func(s string) reduce.RunResult {
+			return reduce.CheckRunner(cfg, runOpts(false, nil), opts.Watchdog)(s)
+		}
 		r := reduce.Program(prog.Prologue, prog.Body, prog.Epilogue,
 			res.Outcome, gen.Render, candRunner, opts.ReduceMaxTests)
 		minBody = r.Body

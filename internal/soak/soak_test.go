@@ -6,7 +6,10 @@ import (
 	"reflect"
 	"testing"
 
+	"pok/internal/check"
 	"pok/internal/check/inject"
+	"pok/internal/check/reduce"
+	"pok/internal/core"
 	"pok/internal/gen"
 )
 
@@ -205,5 +208,74 @@ func TestGenerateRecovery(t *testing.T) {
 	}
 	if p.Seed != 123 {
 		t.Fatalf("seed not threaded: %d", p.Seed)
+	}
+}
+
+// countAssemble swaps the soak's assembler for one that counts its
+// calls (and, with fail set, assembles fail instead of the program),
+// restoring it when the test ends.
+func countAssemble(t *testing.T, fail string) *int {
+	t.Helper()
+	n := 0
+	assemble = func(src string) reduce.Assembled {
+		n++
+		if fail != "" {
+			src = fail
+		}
+		return reduce.Assemble(src)
+	}
+	t.Cleanup(func() { assemble = reduce.Assemble })
+	return &n
+}
+
+// TestSoakAssemblesOncePerProgram: every cell of a program's matrix
+// runs the one assembly made before the matrix.
+func TestSoakAssemblesOncePerProgram(t *testing.T) {
+	opts := small(t)
+	opts.Configs = []string{"slice2", "slice4"}
+	opts.Schedulers = []string{"event", "legacy"}
+	opts.InjectSeeds = 1
+	n := countAssemble(t, "")
+	rep, err := Run(opts, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Findings) != 0 {
+		t.Fatalf("clean soak produced findings: %+v", rep.Findings)
+	}
+	if want := opts.Programs * 2 * 2 * 2; rep.Runs != want {
+		t.Fatalf("ran %d cells, want %d", rep.Runs, want)
+	}
+	if *n != opts.Programs {
+		t.Fatalf("assembled %d times for %d programs", *n, opts.Programs)
+	}
+}
+
+// TestSoakAssemblyErrorFailsEveryCell: a program that does not assemble
+// gives each of its cells the "error" outcome a per-cell assembly gives.
+func TestSoakAssemblyErrorFailsEveryCell(t *testing.T) {
+	const bad = "bogus $q9\n"
+	opts := small(t)
+	opts.Programs = 1
+	opts.Configs = []string{"slice2", "slice4"}
+	opts.Schedulers = []string{"event", "legacy"}
+	opts.NoReduce = true
+	countAssemble(t, bad)
+	rep, err := Run(opts, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reduce.CheckRunner(core.BitSliced(2), check.Options{}, 0)(bad)
+	if want.Outcome.Kind != "error" {
+		t.Fatalf("%q assembles: %+v", bad, want)
+	}
+	if rep.Runs != 4 || len(rep.Findings) != 4 {
+		t.Fatalf("%d runs, %d findings, want 4 of each: %+v", rep.Runs, len(rep.Findings), rep.Findings)
+	}
+	for _, f := range rep.Findings {
+		if f.Kind != "error" || f.Detail != firstLine(want.Err) {
+			t.Errorf("cell %s/%s: kind %q detail %q, want error %q",
+				f.Config, f.Scheduler, f.Kind, f.Detail, firstLine(want.Err))
+		}
 	}
 }

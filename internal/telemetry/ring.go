@@ -1,15 +1,17 @@
 package telemetry
 
 // Ring is a bounded event ring: one flat []Event, a write cursor, and a
-// drop counter. The backing array starts small and doubles on demand up
-// to the capacity bound, so a short run pays only for the events it
-// records; once the array reaches the bound it stops growing and the
-// ring wraps. Recording into a full ring is a struct copy plus two
-// integer updates — no allocation, no pointer writes — so the enabled
-// path stays cheap enough for multi-million-event runs, and the bound
-// means an unattended dump cannot eat the heap. When the ring wraps,
-// the oldest events are overwritten and Dropped reports how many were
-// lost.
+// drop counter. A ring with a large bound starts small and doubles on
+// demand up to the bound, so a short run pays only for the events it
+// records; a ring with a small bound (a checked run's failure window)
+// allocates it up front, because doubling toward it would allocate
+// about twice the bound. Once the array reaches the bound it stops
+// growing and the ring wraps. Recording into a full ring is a struct
+// copy plus two integer updates — no allocation, no pointer writes — so
+// the enabled path stays cheap enough for multi-million-event runs, and
+// the bound means an unattended dump cannot eat the heap. When the ring
+// wraps, the oldest events are overwritten and Dropped reports how many
+// were lost.
 type Ring struct {
 	buf     []Event // live events; len grows to limit, cap never exceeds it
 	limit   int     // capacity bound
@@ -21,17 +23,26 @@ type Ring struct {
 // every event of a few hundred thousand simulated instructions.
 const DefaultRingCap = 1 << 21
 
-// initialRingCap is the backing array a new ring starts with (or the
-// capacity bound, when that is smaller).
-const initialRingCap = 1024
+// initialRingCap is the backing array a new ring starts with when its
+// capacity bound exceeds smallRingCap; a bound up to smallRingCap is
+// allocated whole.
+const (
+	initialRingCap = 1024
+	smallRingCap   = 8192
+)
 
 // NewRing creates a ring holding up to capacity events (none when
-// capacity <= 0: every event is counted as dropped). It allocates room
-// for at most initialRingCap events; Record grows the array toward
-// capacity as events arrive.
+// capacity <= 0: every event is counted as dropped). A capacity up to
+// smallRingCap is allocated at once; a larger one starts at
+// initialRingCap events and Record grows the array toward capacity as
+// events arrive.
 func NewRing(capacity int) *Ring {
 	capacity = max(capacity, 0)
-	return &Ring{buf: make([]Event, 0, min(capacity, initialRingCap)), limit: capacity}
+	initial := capacity
+	if capacity > smallRingCap {
+		initial = initialRingCap
+	}
+	return &Ring{buf: make([]Event, 0, initial), limit: capacity}
 }
 
 // Record appends one event, overwriting the oldest when full.

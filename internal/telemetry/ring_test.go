@@ -10,12 +10,21 @@ import (
 // that keeps the last capacity events in a plain slice, across the
 // empty, just-below, exactly-full, just-wrapped and multiply-wrapped
 // fills, including a ring that keeps no events and capacities either
-// side of the initial backing size.
+// side of the initial backing size and of the largest bound allocated
+// whole (which must be, while a larger one starts at the initial size).
 func TestRingModel(t *testing.T) {
-	for _, capacity := range []int{0, 1, 3, initialRingCap, initialRingCap + 1, 5000} {
+	for _, capacity := range []int{0, 1, 3, initialRingCap, initialRingCap + 1, 5000,
+		smallRingCap, smallRingCap + 1} {
 		for _, n := range []int{0, capacity - 1, capacity, capacity + 1, 3*capacity + 2} {
 			t.Run(fmt.Sprintf("cap%d/n%d", capacity, n), func(t *testing.T) {
 				r := NewRing(capacity)
+				want := capacity
+				if capacity > smallRingCap {
+					want = initialRingCap
+				}
+				if cap(r.buf) != want {
+					t.Fatalf("new ring has room for %d events, want %d", cap(r.buf), want)
+				}
 				var ref []Event
 				for i := 0; i < n; i++ {
 					ev := Event{Cycle: int64(i), Seq: uint64(i), Kind: Kind(i % NumKinds), Slice: -1}
