@@ -60,6 +60,7 @@ check:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAssemble -fuzztime 30s ./internal/asm
 	$(GO) test -run '^$$' -fuzz FuzzEmuStep -fuzztime 30s ./internal/emu
+	$(GO) test -run '^$$' -fuzz FuzzEmuDecodePaths -fuzztime 30s ./internal/emu
 
 # Random-program differential soak (internal/gen + internal/soak).
 # soak-smoke is the PR gate: a 15-second time-boxed campaign on the

@@ -2,7 +2,7 @@
 // hierarchy, including the partial tag matching mechanism of paper §5.2:
 // once the low 16 bits of an effective address are known, the cache index
 // and a few low tag bits are available, which is enough to speculatively
-// select a way (with MRU way prediction) or to signal a miss early and
+// select a way (the most recently used matching way) or to signal a miss early and
 // non-speculatively.
 package cache
 
@@ -37,8 +37,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// maxAssoc is the most ways a set may have: the MRU way pointer is a
-// byte.
+// maxAssoc is the most ways a set may have. Every reference and way
+// prediction scans all of a set's ways, and no modelled geometry has
+// more than 8, so a wider set in a machine description is refused as a
+// likely mistake rather than simulated slowly.
 const maxAssoc = 256
 
 type line struct {
@@ -48,8 +50,8 @@ type line struct {
 	lru   uint64
 }
 
-// Cache is one level of set-associative cache with true-LRU replacement
-// and an MRU way pointer per set for way prediction.
+// Cache is one level of set-associative cache with true-LRU replacement.
+// Its LRU stamps also drive way prediction (PredictWay).
 type Cache struct {
 	cfg        Config
 	nSets      int
@@ -59,7 +61,6 @@ type Cache struct {
 	// s is lines[s*assoc : (s+1)*assoc]. A per-set slice header would
 	// cost 24 bytes a set and a pointer the GC must scan.
 	lines []line
-	mru   []uint8
 	clock uint64
 
 	// Stats.
@@ -83,7 +84,6 @@ func New(cfg Config) (*Cache, error) {
 		offsetBits: bits.TrailingZeros(uint(cfg.LineBytes)),
 		indexBits:  bits.TrailingZeros(uint(nSets)),
 		lines:      make([]line, nSets*cfg.Assoc),
-		mru:        make([]uint8, nSets),
 	}, nil
 }
 
@@ -138,7 +138,7 @@ func (c *Cache) Lookup(addr uint32) bool {
 	return false
 }
 
-// Access performs a read reference to addr, updating LRU/MRU state and
+// Access performs a read reference to addr, updating LRU state and
 // filling on a miss. It returns whether the reference hit.
 func (c *Cache) Access(addr uint32) bool { return c.reference(addr, false) }
 
@@ -159,7 +159,6 @@ func (c *Cache) reference(addr uint32, write bool) bool {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i].lru = c.clock
 			ways[i].dirty = ways[i].dirty || write
-			c.mru[set] = uint8(i)
 			return true
 		}
 	}
@@ -178,7 +177,6 @@ func (c *Cache) reference(addr uint32, write bool) bool {
 		c.Writebacks++
 	}
 	ways[victim] = line{valid: true, dirty: write, tag: tag, lru: c.clock}
-	c.mru[set] = uint8(victim)
 	return false
 }
 

@@ -4,8 +4,8 @@ import "fmt"
 
 // CacheState is one cache level's complete warm state in a flat,
 // deterministic layout: every way's valid/dirty/tag/LRU stamp (row-major
-// by set), the per-set MRU way pointers behind way prediction, the LRU
-// clock, and the statistics counters. Restoring it around a checkpoint
+// by set), the LRU clock, and the statistics counters. The LRU stamps
+// also decide way prediction. Restoring it around a checkpoint
 // keeps hit/miss timing and way-prediction outcomes bit-identical.
 type CacheState struct {
 	Sets  int
@@ -15,7 +15,6 @@ type CacheState struct {
 	Dirty []byte
 	Tag   []uint32
 	LRU   []uint64
-	MRU   []int32
 	Clock uint64
 
 	Accesses   uint64
@@ -32,7 +31,7 @@ func (c *Cache) State() *CacheState {
 		Sets: c.nSets, Assoc: assoc,
 		Valid: make([]byte, n), Dirty: make([]byte, n),
 		Tag: make([]uint32, n), LRU: make([]uint64, n),
-		MRU: make([]int32, c.nSets), Clock: c.clock,
+		Clock:    c.clock,
 		Accesses: c.Accesses, Misses: c.Misses,
 		Writes: c.Writes, Writebacks: c.Writebacks,
 	}
@@ -46,9 +45,6 @@ func (c *Cache) State() *CacheState {
 		st.Tag[i] = w.tag
 		st.LRU[i] = w.lru
 	}
-	for i, w := range c.mru {
-		st.MRU[i] = int32(w)
-	}
 	return st
 }
 
@@ -61,7 +57,7 @@ func (c *Cache) Restore(st *CacheState) error {
 	}
 	n := c.nSets * assoc
 	if len(st.Valid) != n || len(st.Dirty) != n || len(st.Tag) != n ||
-		len(st.LRU) != n || len(st.MRU) != c.nSets {
+		len(st.LRU) != n {
 		return fmt.Errorf("cache %s: restore: inconsistent arrays", c.cfg.Name)
 	}
 	for i := range c.lines {
@@ -71,13 +67,6 @@ func (c *Cache) Restore(st *CacheState) error {
 			tag:   st.Tag[i],
 			lru:   st.LRU[i],
 		}
-	}
-	for i := range c.mru {
-		w := st.MRU[i]
-		if w < 0 || int(w) >= assoc {
-			return fmt.Errorf("cache %s: restore: MRU way %d out of range", c.cfg.Name, w)
-		}
-		c.mru[i] = uint8(w)
 	}
 	c.clock = st.Clock
 	c.Accesses, c.Misses = st.Accesses, st.Misses

@@ -3,7 +3,7 @@
 // emulator memory pages (with dirty-page deltas between periodic full
 // rebase snapshots), register file, instruction/cycle counters, and the
 // warm microarchitectural state (branch predictor, BTB, cache tags and
-// MRU way pointers, TLB) — so a run resumed from a checkpoint is
+// LRU stamps, TLB) — so a run resumed from a checkpoint is
 // bit-identical to one that was never interrupted.
 //
 // Files are written atomically (WriteAtomic: temp + fsync + rename +
@@ -31,16 +31,15 @@ import (
 // any other version with *VersionError — checkpoint files are exact
 // machine state, so cross-version compatibility shims would silently
 // break the bit-identical-resume guarantee.
-const Version = 1
+const Version = 2
 
 // Meta identifies a snapshot: which run it belongs to (benchmark,
-// config, scheduler, emulator flavor), where in the run it was taken,
+// config, scheduler), where in the run it was taken,
 // and its position in a delta chain.
 type Meta struct {
 	Benchmark string
 	Config    string
 	Scheduler string // "event" | "legacy"
-	Emulator  string // "fast" | "legacy"
 
 	// Insts/Cycles locate the capture point: committed instructions and
 	// the cycle counter at the quiescent drain boundary.

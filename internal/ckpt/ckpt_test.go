@@ -53,7 +53,7 @@ func sampleSnapshot(delta bool) *ckpt.Snapshot {
 			Sets: sets, Assoc: assoc,
 			Valid: make([]byte, n), Dirty: make([]byte, n),
 			Tag: make([]uint32, n), LRU: make([]uint64, n),
-			MRU: make([]int32, sets), Clock: 77,
+			Clock:    77,
 			Accesses: 1000, Misses: 50, Writes: 200, Writebacks: 10,
 		}
 		for i := 0; i < n; i++ {
@@ -65,8 +65,8 @@ func sampleSnapshot(delta bool) *ckpt.Snapshot {
 	}
 	meta := ckpt.Meta{
 		Benchmark: "li", Config: "bit-slice-x4",
-		Scheduler: "event", Emulator: "fast",
-		Insts: 50_000, Cycles: 61_234, ID: 4,
+		Scheduler: "event",
+		Insts:     50_000, Cycles: 61_234, ID: 4,
 	}
 	if delta {
 		meta.BaseID = 3

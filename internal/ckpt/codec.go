@@ -200,9 +200,9 @@ func Encode(s *Snapshot) []byte {
 	}
 	if s.Hier != nil {
 		at = out.open(tagHier)
-		encodeCache(&out, s.Hier.L1I)
-		encodeCache(&out, s.Hier.L1D)
-		encodeCache(&out, s.Hier.L2)
+		encodeLevel(&out, s.Hier.L1I)
+		encodeLevel(&out, s.Hier.L1D)
+		encodeLevel(&out, s.Hier.L2)
 		seal(at)
 	}
 	if s.DTLB != nil {
@@ -245,11 +245,11 @@ func encodedSize(s *Snapshot) int {
 	str := func(v string) int { return 4 + len(v) }
 	n := 8 + section + 8 // header; END and its summary hash
 	m := &s.Meta
-	n += section + str(m.Benchmark) + str(m.Config) + str(m.Scheduler) + str(m.Emulator) +
+	n += section + str(m.Benchmark) + str(m.Config) + str(m.Scheduler) +
 		4*8 + str(m.BaseFile)
 	if st := s.Emu; st != nil {
 		n += section + 4 + 4*len(st.Regs) + 4 + 1 + 4 + 8 + 4 + str(st.Output) +
-			4 + 4*len(st.Inputs) + 1 + 4 + 4 + 1 + 4 + len(st.Pages)*(4+emu.PageSize)
+			4 + 4*len(st.Inputs) + 4 + 4 + 1 + 4 + len(st.Pages)*(4+emu.PageSize)
 	}
 	if st := s.Bpred; st != nil {
 		n += section + str(st.DirKind) + 4 + len(st.DirTable) + 4 + 2*len(st.DirHist) +
@@ -260,7 +260,7 @@ func encodedSize(s *Snapshot) int {
 		n += section
 		for _, st := range []*cache.CacheState{h.L1I, h.L1D, h.L2} {
 			n += 2*4 + 4 + len(st.Valid) + 4 + len(st.Dirty) + 4*len(st.Tag) +
-				8*len(st.LRU) + 4*len(st.MRU) + 5*8
+				8*len(st.LRU) + 5*8
 		}
 	}
 	if st := s.DTLB; st != nil {
@@ -345,9 +345,9 @@ func Decode(data []byte) (*Snapshot, error) {
 		case tagHier:
 			r := &reader{b: payload}
 			hs := &cache.HierarchyState{}
-			hs.L1I = decodeCache(r)
-			hs.L1D = decodeCache(r)
-			hs.L2 = decodeCache(r)
+			hs.L1I = decodeLevel(r)
+			hs.L1D = decodeLevel(r)
+			hs.L2 = decodeLevel(r)
 			if !r.done() {
 				err = &CorruptError{Section: tag, Reason: "malformed payload"}
 			} else {
@@ -402,7 +402,6 @@ func encodeMeta(w *writer, m *Meta) {
 	w.str(m.Benchmark)
 	w.str(m.Config)
 	w.str(m.Scheduler)
-	w.str(m.Emulator)
 	w.u64(m.Insts)
 	w.u64(uint64(m.Cycles))
 	w.u64(m.ID)
@@ -415,7 +414,6 @@ func decodeMeta(b []byte, m *Meta) error {
 	m.Benchmark = r.str()
 	m.Config = r.str()
 	m.Scheduler = r.str()
-	m.Emulator = r.str()
 	m.Insts = r.u64()
 	m.Cycles = int64(r.u64())
 	m.ID = r.u64()
@@ -442,7 +440,6 @@ func encodeEmu(w *writer, st *emu.State) {
 	for _, v := range st.Inputs {
 		w.u32(uint32(v))
 	}
-	w.u8(b2u(st.Legacy))
 	w.u32(st.UBase)
 	w.u32(uint32(st.ULen))
 	w.u8(b2u(st.Partial))
@@ -476,7 +473,6 @@ func decodeEmu(b []byte) (*emu.State, error) {
 	for i := range st.Inputs {
 		st.Inputs[i] = int32(r.u32())
 	}
-	st.Legacy = r.u8() != 0
 	st.UBase = r.u32()
 	st.ULen = int(r.u32())
 	st.Partial = r.u8() != 0
@@ -579,7 +575,7 @@ func decodeBpred(b []byte) (*bpred.State, error) {
 	return st, nil
 }
 
-func encodeCache(w *writer, st *cache.CacheState) {
+func encodeLevel(w *writer, st *cache.CacheState) {
 	w.u32(uint32(st.Sets))
 	w.u32(uint32(st.Assoc))
 	w.bytes(st.Valid)
@@ -590,9 +586,6 @@ func encodeCache(w *writer, st *cache.CacheState) {
 	for _, v := range st.LRU {
 		w.u64(v)
 	}
-	for _, v := range st.MRU {
-		w.u32(uint32(v))
-	}
 	w.u64(st.Clock)
 	w.u64(st.Accesses)
 	w.u64(st.Misses)
@@ -600,7 +593,7 @@ func encodeCache(w *writer, st *cache.CacheState) {
 	w.u64(st.Writebacks)
 }
 
-func decodeCache(r *reader) *cache.CacheState {
+func decodeLevel(r *reader) *cache.CacheState {
 	st := &cache.CacheState{}
 	st.Sets = int(r.u32())
 	st.Assoc = int(r.u32())
@@ -618,10 +611,6 @@ func decodeCache(r *reader) *cache.CacheState {
 	st.LRU = make([]uint64, n)
 	for i := range st.LRU {
 		st.LRU[i] = r.u64()
-	}
-	st.MRU = make([]int32, st.Sets)
-	for i := range st.MRU {
-		st.MRU[i] = int32(r.u32())
 	}
 	st.Clock = r.u64()
 	st.Accesses = r.u64()

@@ -120,7 +120,7 @@ func loadChain(path string, depth int) (*Snapshot, error) {
 			path, basePath, base.Meta.ID, s.Meta.BaseID)}
 	}
 	if base.Meta.Benchmark != s.Meta.Benchmark || base.Meta.Config != s.Meta.Config ||
-		base.Meta.Scheduler != s.Meta.Scheduler || base.Meta.Emulator != s.Meta.Emulator {
+		base.Meta.Scheduler != s.Meta.Scheduler {
 		return nil, &CorruptError{Reason: fmt.Sprintf("%s: base %s belongs to a different run", path, basePath)}
 	}
 	merged := *s

@@ -93,16 +93,12 @@ func (s *Sim) quiescent() bool {
 		len(s.memWatch) == 0 && s.lsq.Len() == 0 && len(s.ready) == 0
 }
 
-// runKinds names the scheduler and emulator flavors of cfg for Meta.
-func runKinds(cfg *Config) (sched, emulator string) {
-	sched, emulator = "event", "fast"
+// schedKind names the scheduler flavor of cfg for Meta.
+func schedKind(cfg *Config) string {
 	if cfg.LegacyScheduler {
-		sched = "legacy"
+		return "legacy"
 	}
-	if cfg.LegacyEmulator {
-		emulator = "legacy"
-	}
-	return sched, emulator
+	return "event"
 }
 
 // coreCkpt is the timing core's own snapshot section: the scalars that
@@ -181,13 +177,11 @@ func (s *Sim) captureSnapshot(full bool) (*ckpt.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched, emuKind := runKinds(&s.cfg)
 	snap := &ckpt.Snapshot{
 		Meta: ckpt.Meta{
 			Benchmark: s.ckptBench,
 			Config:    s.cfg.Name,
-			Scheduler: sched,
-			Emulator:  emuKind,
+			Scheduler: schedKind(&s.cfg),
 			Insts:     s.res.Insts,
 			Cycles:    s.now,
 		},
@@ -224,7 +218,7 @@ func (s *Sim) captureSnapshot(full bool) (*ckpt.Snapshot, error) {
 
 // NewSimFromSnapshot rebuilds a simulation mid-run from a full (chain-
 // resolved) snapshot. cfg must describe the same machine the snapshot
-// was taken under — same config name, scheduler and emulator flavor, and
+// was taken under — same config name and scheduler flavor, and
 // the same observer set (oracle, invariants, injector, collector); the
 // run-identity fields are verified here, the rest is the caller's
 // contract. maxInsts is the absolute committed-instruction budget, as in
@@ -250,14 +244,9 @@ func NewSimFromSnapshot(snap *ckpt.Snapshot, cfg Config, maxInsts uint64) (*Sim,
 		return nil, fmt.Errorf("core: snapshot taken under config %q, resuming with %q",
 			snap.Meta.Config, cfg.Name)
 	}
-	sched, emuKind := runKinds(&cfg)
-	if snap.Meta.Scheduler != sched {
+	if sched := schedKind(&cfg); snap.Meta.Scheduler != sched {
 		return nil, fmt.Errorf("core: snapshot taken under %s scheduler, resuming with %s",
 			snap.Meta.Scheduler, sched)
-	}
-	if snap.Meta.Emulator != emuKind {
-		return nil, fmt.Errorf("core: snapshot taken under %s emulator, resuming with %s",
-			snap.Meta.Emulator, emuKind)
 	}
 	if len(snap.Core) == 0 {
 		return nil, fmt.Errorf("core: snapshot has no timing-core section")
@@ -270,9 +259,6 @@ func NewSimFromSnapshot(snap *ckpt.Snapshot, cfg Config, maxInsts uint64) (*Sim,
 	em, err := emu.NewFromState(snap.Emu)
 	if err != nil {
 		return nil, err
-	}
-	if em.Legacy() != cfg.LegacyEmulator {
-		return nil, fmt.Errorf("core: emulator state flavor disagrees with config")
 	}
 	s := newSim(cfg, em, maxInsts)
 	if snap.Bpred == nil {

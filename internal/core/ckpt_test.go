@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"hash/fnv"
 	"path/filepath"
 	"reflect"
@@ -88,7 +87,7 @@ func resumeCkpt(t *testing.T, snap *ckpt.Snapshot, cfg Config, maxInsts, every u
 }
 
 // TestResumeBitIdentical kills a checkpointing run at every snapshot and
-// resumes it, across the scheduler × emulator matrix. The resumed run's
+// resumes it, under both schedulers. The resumed run's
 // Result and every snapshot it writes afterwards must be byte-identical
 // to the uninterrupted reference with the same cadence.
 func TestResumeBitIdentical(t *testing.T) {
@@ -96,42 +95,38 @@ func TestResumeBitIdentical(t *testing.T) {
 	const every = 2_500
 	w := workload.MustGet("li")
 	for _, sched := range []bool{false, true} {
-		for _, legacyEmu := range []bool{false, true} {
-			sched, legacyEmu := sched, legacyEmu
-			name := fmt.Sprintf("sched=%v/emu=%v", schedName(sched), emuName(legacyEmu))
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				cfg := BitSliced(4)
-				cfg.LegacyScheduler = sched
-				cfg.LegacyEmulator = legacyEmu
-				ref := &captureSink{}
-				refRes := runCkpt(t, w, cfg, maxInsts, every, ref)
-				if len(ref.snaps) == 0 {
-					t.Fatal("reference run wrote no snapshots")
+		sched := sched
+		t.Run("sched="+schedName(sched), func(t *testing.T) {
+			t.Parallel()
+			cfg := BitSliced(4)
+			cfg.LegacyScheduler = sched
+			ref := &captureSink{}
+			refRes := runCkpt(t, w, cfg, maxInsts, every, ref)
+			if len(ref.snaps) == 0 {
+				t.Fatal("reference run wrote no snapshots")
+			}
+			for i, snap := range ref.snaps {
+				got := &captureSink{}
+				res := resumeCkpt(t, snap, cfg, maxInsts, every, got)
+				if *res != *refRes {
+					t.Errorf("resume from snapshot %d (insts=%d): Result diverges\nref:\n%s\ngot:\n%s",
+						i, snap.Meta.Insts, refRes.Summary(), res.Summary())
 				}
-				for i, snap := range ref.snaps {
-					got := &captureSink{}
-					res := resumeCkpt(t, snap, cfg, maxInsts, every, got)
-					if *res != *refRes {
-						t.Errorf("resume from snapshot %d (insts=%d): Result diverges\nref:\n%s\ngot:\n%s",
-							i, snap.Meta.Insts, refRes.Summary(), res.Summary())
-					}
-					// Every snapshot the resumed run writes must be
-					// byte-identical to the reference's corresponding one.
-					want := ref.snaps[i+1:]
-					if len(got.snaps) != len(want) {
-						t.Errorf("resume from snapshot %d: wrote %d snapshots, reference wrote %d",
-							i, len(got.snaps), len(want))
-						continue
-					}
-					for j := range want {
-						if string(ckpt.Encode(got.snaps[j])) != string(ckpt.Encode(want[j])) {
-							t.Errorf("resume from snapshot %d: snapshot %d differs from reference", i, j)
-						}
+				// Every snapshot the resumed run writes must be
+				// byte-identical to the reference's corresponding one.
+				want := ref.snaps[i+1:]
+				if len(got.snaps) != len(want) {
+					t.Errorf("resume from snapshot %d: wrote %d snapshots, reference wrote %d",
+						i, len(got.snaps), len(want))
+					continue
+				}
+				for j := range want {
+					if string(ckpt.Encode(got.snaps[j])) != string(ckpt.Encode(want[j])) {
+						t.Errorf("resume from snapshot %d: snapshot %d differs from reference", i, j)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -140,13 +135,6 @@ func schedName(legacy bool) string {
 		return "legacy"
 	}
 	return "event"
-}
-
-func emuName(legacy bool) string {
-	if legacy {
-		return "legacy"
-	}
-	return "fast"
 }
 
 // TestResumeAfterStop models a SIGINT landing at a checkpoint boundary:
@@ -319,9 +307,9 @@ func TestResumeTelemetryContinuity(t *testing.T) {
 	}
 }
 
-// TestSnapshotConfigMismatchRefused: resuming under a different config,
-// scheduler or emulator flavor must be refused, not silently produce a
-// different machine.
+// TestSnapshotConfigMismatchRefused: resuming under a different config
+// or scheduler must be refused, not silently produce a different
+// machine.
 func TestSnapshotConfigMismatchRefused(t *testing.T) {
 	const maxInsts = 4_000
 	w := workload.MustGet("li")
@@ -341,11 +329,6 @@ func TestSnapshotConfigMismatchRefused(t *testing.T) {
 	badSched.LegacyScheduler = true
 	if _, err := NewSimFromSnapshot(snap, badSched, maxInsts); err == nil {
 		t.Error("resume under a different scheduler accepted")
-	}
-	badEmu := cfg
-	badEmu.LegacyEmulator = true
-	if _, err := NewSimFromSnapshot(snap, badEmu, maxInsts); err == nil {
-		t.Error("resume under a different emulator flavor accepted")
 	}
 }
 
@@ -384,7 +367,7 @@ func runEncodeSink(t *testing.T) *encodeSink {
 // needs a ckpt.Version bump, not a new digest.
 func TestEncodeGolden(t *testing.T) {
 	sink := runEncodeSink(t)
-	want := []uint64{0xde61f3e972d98bd6, 0xa617df1d0e8de207}
+	want := []uint64{0x7bc7502773b9ab62, 0x127070491798880b}
 	for i, w := range want {
 		if sink.snaps[i].Emu.Partial != (i > 0) {
 			t.Fatalf("snapshot %d: partial = %v", i, sink.snaps[i].Emu.Partial)

@@ -119,13 +119,6 @@ type Config struct {
 	// event-driven run may jump over.
 	LegacyScheduler bool
 
-	// LegacyEmulator feeds the timing model from the original
-	// switch-dispatch interpreter instead of the direct-threaded fast
-	// path. Both produce bit-identical DynInst streams (enforced by the
-	// internal/emu differential tests and TestEmulatorMatrixMatches), so
-	// the flag exists purely as the reference half of that matrix.
-	LegacyEmulator bool
-
 	// UseBimodal replaces the gshare direction predictor with a bimodal
 	// table of equal size (a predictor ablation; the paper uses gshare).
 	UseBimodal bool

@@ -11,76 +11,48 @@ import (
 	"pok/internal/workload"
 )
 
-// The emulator half of the differential matrix: the direct-threaded
-// fast-path interpreter and the original switch-dispatch interpreter
-// must be interchangeable underneath either timing scheduler. Every cell
-// of {legacy, fast} emulator × {legacy, event} scheduler runs the same
-// program and the four Results are compared wholesale — any divergence
-// in the DynInst stream the emulator feeds the timing model would show
-// up as a differing counter.
+// Both timing schedulers fed by the one emulator: each program runs
+// under the event-driven and the legacy scheduler and the two Results
+// are compared wholesale.
 
-// matrixCell identifies one emulator/scheduler combination.
-type matrixCell struct {
-	legacyEmu   bool
-	legacySched bool
-}
-
-func (c matrixCell) String() string {
-	e, s := "fast-emu", "event-sched"
-	if c.legacyEmu {
-		e = "legacy-emu"
-	}
-	if c.legacySched {
-		s = "legacy-sched"
-	}
-	return e + "/" + s
-}
-
-var matrixCells = []matrixCell{
-	{false, false}, {false, true}, {true, false}, {true, true},
-}
-
-// runMatrix executes every cell on a freshly built program and fails
-// unless all four agree — on the Result when the runs succeed, or on
+// runMatrix executes both schedulers on a freshly built program and
+// fails unless they agree — on the Result when the runs succeed, or on
 // the error text when the program wedges the machine (a deliberately
-// pathological repro bundle must wedge it identically in every cell).
+// pathological repro bundle must wedge it identically under both).
 func runMatrix(t *testing.T, name string, mk func() (*emu.Program, error),
 	ff uint64, cfg Config, maxInsts uint64) {
 	t.Helper()
 	var refRes *Result
 	var refErr error
-	for i, cell := range matrixCells {
+	for _, legacy := range []bool{false, true} {
 		prog, err := mk()
 		if err != nil {
 			t.Fatal(err)
 		}
 		c := cfg
-		c.LegacyEmulator = cell.legacyEmu
-		c.LegacyScheduler = cell.legacySched
+		c.LegacyScheduler = legacy
 		r, err := RunWarm(prog, c, ff, maxInsts)
-		if i == 0 {
+		if !legacy {
 			refRes, refErr = r, err
 			continue
 		}
 		switch {
 		case (err == nil) != (refErr == nil):
-			t.Fatalf("%s: %v errored (%v) but %v did not (%v)",
-				name, cell, err, matrixCells[0], refErr)
+			t.Fatalf("%s: legacy scheduler errored (%v) but event did not (%v)", name, err, refErr)
 		case err != nil:
 			if err.Error() != refErr.Error() {
-				t.Fatalf("%s: error mismatch\n%v: %v\n%v: %v",
-					name, matrixCells[0], refErr, cell, err)
+				t.Fatalf("%s: error mismatch\nevent: %v\nlegacy: %v", name, refErr, err)
 			}
 		case *r != *refRes:
-			t.Errorf("%s: %v diverges from %v\nref:\n%s\ngot:\n%s",
-				name, cell, matrixCells[0], refRes.Summary(), r.Summary())
+			t.Errorf("%s: legacy scheduler diverges from event\nevent:\n%s\nlegacy:\n%s",
+				name, refRes.Summary(), r.Summary())
 		}
 	}
 }
 
-// TestEmulatorMatrixMatches sweeps every registered workload through the
-// full emulator × scheduler matrix on the base and slice-by-2 machines,
-// then replays both checked-in repro bundles through the same matrix.
+// TestEmulatorMatrixMatches sweeps every registered workload through
+// both schedulers on the base and slice-by-2 machines, then replays both
+// checked-in repro bundles the same way.
 // Short mode trims the budget so the race-detector smoke job stays fast.
 func TestEmulatorMatrixMatches(t *testing.T) {
 	insts := uint64(40_000)

@@ -426,7 +426,6 @@ func newSim(cfg Config, em *emu.Emulator, maxInsts uint64) *Sim {
 		fpmdFree:   -1,
 		res:        Result{Config: cfg.Name},
 	}
-	s.em.SetLegacy(cfg.LegacyEmulator)
 	s.depTab = sliceDepTable(&cfg)
 	s.wh.ovMin = inf
 	if !s.legacy {

@@ -1,154 +1,50 @@
 package emu_test
 
-// Differential tests for the direct-threaded fast path: every workload,
-// every checked-in repro bundle and a fuzzed population of generated
-// programs must produce DynInst streams bit-identical to the legacy
-// switch-dispatch interpreter's.
+// The emulator decodes an instruction on one of three paths: the dense
+// predecode window of a freshly loaded program, the bounded fallback
+// cache a wrong-path fork decodes through over its overlay, and the
+// window an emulator restored from a snapshot rebuilds on demand. A
+// generated program must give the same DynInst stream on all three.
 
 import (
-	"os"
-	"path/filepath"
+	"fmt"
 	"testing"
 
 	"pok/internal/asm"
 	"pok/internal/emu"
 	"pok/internal/gen"
 	"pok/internal/isa"
-	"pok/internal/workload"
 )
 
-// diffEmulators steps the fast-path and legacy interpreters in lockstep
-// for up to budget instructions, failing on the first divergence in the
-// dynamic record, the error, or the final architectural state.
-func diffEmulators(t *testing.T, prog *emu.Program, budget uint64) {
-	t.Helper()
-	fast := emu.New(prog)
-	ref := emu.New(prog)
-	ref.SetLegacy(true)
+// runStream steps e for up to budget instructions, stopping at the first
+// error or at the halt, and returns the records and a rendering of the
+// end state: registers, PC, instruction count, halt state, exit code,
+// output and the terminating error.
+func runStream(e *emu.Emulator, budget uint64) ([]emu.DynInst, string) {
+	var recs []emu.DynInst
+	var err error
 	for i := uint64(0); i < budget; i++ {
-		df, errF := fast.Step()
-		dr, errR := ref.Step()
-		if (errF == nil) != (errR == nil) {
-			t.Fatalf("step %d: error mismatch: fast=%v legacy=%v", i, errF, errR)
-		}
-		if errF != nil {
-			if errF.Error() != errR.Error() {
-				t.Fatalf("step %d: error text mismatch:\nfast:   %v\nlegacy: %v", i, errF, errR)
-			}
+		var d emu.DynInst
+		if err = e.StepInto(&d); err != nil {
 			break
 		}
-		if df != dr {
-			t.Fatalf("step %d: DynInst divergence:\nfast:   %+v\nlegacy: %+v", i, df, dr)
-		}
-		if fast.Halted() {
+		recs = append(recs, d)
+		if e.Halted() {
 			break
 		}
 	}
-	if fast.Halted() != ref.Halted() || fast.ExitCode() != ref.ExitCode() ||
-		fast.InstCount() != ref.InstCount() || fast.Output() != ref.Output() {
-		t.Fatalf("final state mismatch: halted %v/%v exit %d/%d icount %d/%d",
-			fast.Halted(), ref.Halted(), fast.ExitCode(), ref.ExitCode(),
-			fast.InstCount(), ref.InstCount())
+	var regs [isa.NumRegs]uint32
+	for r := range regs {
+		regs[r] = e.Reg(isa.Reg(r))
 	}
-	for r := 0; r < isa.NumRegs; r++ {
-		if fast.Reg(isa.Reg(r)) != ref.Reg(isa.Reg(r)) {
-			t.Fatalf("final reg %v mismatch: fast=%#x legacy=%#x",
-				isa.Reg(r), fast.Reg(isa.Reg(r)), ref.Reg(isa.Reg(r)))
-		}
-	}
+	return recs, fmt.Sprintf("regs %x pc %#x icount %d halted %v exit %d output %q err %v",
+		regs, e.PC(), e.InstCount(), e.Halted(), e.ExitCode(), e.Output(), err)
 }
 
-func TestEmuDiffWorkloads(t *testing.T) {
-	budget := uint64(100_000)
-	if testing.Short() {
-		budget = 20_000
-	}
-	for _, name := range workload.Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			w := workload.MustGet(name)
-			prog, err := w.Program(w.DefaultScale)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffEmulators(t, prog, budget)
-		})
-	}
-}
-
-// TestEmuDiffRepros replays the checked-in soak repro bundles (minimized
-// generated programs) through both interpreters.
-func TestEmuDiffRepros(t *testing.T) {
-	root := filepath.Join("..", "gen", "testdata", "repros")
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		e := e
-		t.Run(e.Name(), func(t *testing.T) {
-			src, err := os.ReadFile(filepath.Join(root, e.Name(), "prog.s"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog, err := asm.Assemble(string(src))
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffEmulators(t, prog, 200_000)
-		})
-	}
-}
-
-// TestEmuDiffForks checks that speculative forks of the fast-path
-// emulator (which decode through the wrong-path overlay, off the dense
-// window) match legacy forks instruction for instruction.
-func TestEmuDiffForks(t *testing.T) {
-	prog, err := workload.MustGet("li").Program(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := emu.New(prog)
-	ref := emu.New(prog)
-	ref.SetLegacy(true)
-	if _, err := fast.Run(500, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.Run(500, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Fork down a deliberately wrong path: an offset into the data
-	// segment and a misaligned PC both leave the dense window.
-	for _, pc := range []uint32{fast.PC() + 8, emu.DefaultDataBase, fast.PC() + 2} {
-		ff := fast.Fork(pc)
-		fr := ref.Fork(pc)
-		for i := 0; i < 64; i++ {
-			df, errF := ff.Step()
-			dr, errR := fr.Step()
-			if (errF == nil) != (errR == nil) {
-				t.Fatalf("fork pc=%#x step %d: error mismatch: fast=%v legacy=%v", pc, i, errF, errR)
-			}
-			if errF != nil {
-				if errF.Error() != errR.Error() {
-					t.Fatalf("fork pc=%#x step %d: error text mismatch:\nfast:   %v\nlegacy: %v",
-						pc, i, errF, errR)
-				}
-				break
-			}
-			if df != dr {
-				t.Fatalf("fork pc=%#x step %d: DynInst divergence:\nfast:   %+v\nlegacy: %+v",
-					pc, i, df, dr)
-			}
-		}
-	}
-}
-
-// FuzzEmuDiff runs arbitrary generated programs through both
-// interpreters and fails on the first DynInst divergence.
-func FuzzEmuDiff(f *testing.F) {
+// FuzzEmuDecodePaths runs generated programs down the three decode
+// paths and fails on the first DynInst, or end state, that differs from
+// the dense window's.
+func FuzzEmuDecodePaths(f *testing.F) {
 	f.Add(uint64(1), uint8(24))
 	f.Add(uint64(0xfeed), uint8(8))
 	f.Add(uint64(0xdecade), uint8(48))
@@ -162,8 +58,49 @@ func FuzzEmuDiff(f *testing.F) {
 		if err != nil {
 			t.Skip() // generator emits assemblable programs by construction
 		}
-		diffEmulators(t, prog, 30_000)
+		const budget = 30_000
+		want, wantEnd := runStream(emu.New(prog), budget)
+
+		// Fork at the entry point: no dense window, every PC decodes
+		// through the fallback cache.
+		ref := emu.New(prog)
+		fork := ref.Fork(prog.Entry)
+		fork.MaxOutput = ref.MaxOutput
+		got, gotEnd := runStream(fork, budget)
+		compareStreams(t, "fork", want, got, wantEnd, gotEnd)
+
+		// Restored from a snapshot taken halfway through the run.
+		half := uint64(len(want) / 2)
+		orig := emu.New(prog)
+		if half > 0 {
+			if _, err := orig.Run(half, nil); err != nil {
+				t.Fatalf("run to the snapshot point: %v", err)
+			}
+		}
+		st, err := orig.Snapshot(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := emu.NewFromState(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotEnd = runStream(restored, budget-half)
+		compareStreams(t, "restored", want[half:], got, wantEnd, gotEnd)
 	})
+}
+
+func compareStreams(t *testing.T, path string, want, got []emu.DynInst, wantEnd, gotEnd string) {
+	t.Helper()
+	for i := range min(len(want), len(got)) {
+		if got[i] != want[i] {
+			t.Fatalf("%s: step %d: DynInst divergence:\n%s:%+v\ndense:  %+v", path, i, path, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) || gotEnd != wantEnd {
+		t.Fatalf("%s: %d steps, dense %d; end state\n%s: %s\ndense:  %s",
+			path, len(got), len(want), path, gotEnd, wantEnd)
+	}
 }
 
 // hotLoop is a tight infinite loop touching ALU, load, store and

@@ -25,12 +25,11 @@ import (
 // repro bundles, farRunProg to its exit and three wrong-path forks of
 // li; testdata/stream_golden.json holds their digests.
 //
-// The table was generated with the fast path and the switch-dispatch
-// interpreter it replaced stepping side by side: an entry was only
-// written where both produced the same digest. On any mismatch the test
-// prints the complete table it computed, ready to replace the file,
-// which is done by hand only when a change is meant to alter what the
-// emulator executes.
+// The table was generated while a second, switch-dispatch interpreter
+// still existed, and an entry was only written where both interpreters
+// produced the same digest. On any mismatch the test prints the complete
+// table it computed, ready to replace the file, which is done by hand
+// only when a change is meant to alter what the emulator executes.
 
 const streamGoldenFile = "testdata/stream_golden.json"
 
@@ -45,17 +44,11 @@ const (
 )
 
 // stream is one pinned DynInst stream: mk builds the emulator at the
-// stream's first instruction, on the legacy interpreter if asked.
+// stream's first instruction.
 type stream struct {
 	key    string
 	budget uint64
-	mk     func(t *testing.T, legacy bool) *emu.Emulator
-}
-
-func newEmu(prog *emu.Program, legacy bool) *emu.Emulator {
-	e := emu.New(prog)
-	e.SetLegacy(legacy)
-	return e
+	mk     func(t *testing.T) *emu.Emulator
 }
 
 // goldenStreams lists the table's streams; short mode keeps the
@@ -71,12 +64,12 @@ func goldenStreams(t *testing.T) []stream {
 		w := workload.MustGet(name)
 		for _, b := range budgets {
 			out = append(out, stream{fmt.Sprintf("workload/%s/%d", name, b), b,
-				func(t *testing.T, legacy bool) *emu.Emulator {
+				func(t *testing.T) *emu.Emulator {
 					prog, err := w.Program(w.DefaultScale)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return newEmu(prog, legacy)
+					return emu.New(prog)
 				}})
 		}
 	}
@@ -95,17 +88,17 @@ func goldenStreams(t *testing.T) []stream {
 			t.Fatal(err)
 		}
 		out = append(out, stream{fmt.Sprintf("repro/%s/%d", e.Name(), streamReproInsts), streamReproInsts,
-			func(t *testing.T, legacy bool) *emu.Emulator {
+			func(t *testing.T) *emu.Emulator {
 				prog, err := asm.Assemble(string(src))
 				if err != nil {
 					t.Fatal(err)
 				}
-				return newEmu(prog, legacy)
+				return emu.New(prog)
 			}})
 	}
 
 	out = append(out, stream{"farrun", streamFarRunInsts,
-		func(t *testing.T, legacy bool) *emu.Emulator { return newEmu(farRunProg(t), legacy) }})
+		func(t *testing.T) *emu.Emulator { return emu.New(farRunProg(t)) }})
 
 	// li's wrong-path forks after 500 instructions: one a little ahead
 	// in the text, one in the data segment and one misaligned, so all
@@ -118,12 +111,12 @@ func goldenStreams(t *testing.T) []stream {
 	for i, fpc := range forkPCs {
 		fpc := fpc
 		out = append(out, stream{fmt.Sprintf("fork/li/%d", i), streamForkSteps,
-			func(t *testing.T, legacy bool) *emu.Emulator {
+			func(t *testing.T) *emu.Emulator {
 				prog, err := workload.MustGet("li").Program(1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				e := newEmu(prog, legacy)
+				e := emu.New(prog)
 				if _, err := e.Run(500, nil); err != nil {
 					t.Fatal(err)
 				}
@@ -215,12 +208,7 @@ func TestStreamGolden(t *testing.T) {
 
 	got := map[string]string{}
 	for _, s := range goldenStreams(t) {
-		fast := streamDigest(s.mk(t, false), s.budget)
-		if ref := streamDigest(s.mk(t, true), s.budget); ref != fast {
-			t.Errorf("%s: fast path %s, legacy interpreter %s; no entry written", s.key, fast, ref)
-			continue
-		}
-		got[s.key] = fast
+		got[s.key] = streamDigest(s.mk(t), s.budget)
 	}
 
 	mismatch := false

@@ -12,8 +12,8 @@ import (
 type handlerFn func(e *Emulator, u *uop, d *DynInst)
 
 // handlers is the direct-threaded dispatch table, indexed by opcode. A
-// nil entry reproduces the legacy interpreter's "unimplemented op"
-// error (only OpInvalid today).
+// nil entry makes StepInto return an "unimplemented op" error (only
+// OpInvalid today).
 var handlers = [isa.NumOps]handlerFn{
 	isa.OpNOP:   hNop,
 	isa.OpBREAK: hNop,

@@ -33,7 +33,6 @@ type State struct {
 	Brk      uint32
 	Output   string
 	Inputs   []int32
-	Legacy   bool
 
 	// UBase/ULen record the dense predecode window geometry (ULen in
 	// uops) so restore rebuilds an empty window of identical shape
@@ -66,7 +65,6 @@ func (e *Emulator) Snapshot(deltaOnly bool) (*State, error) {
 		Brk:      e.brk,
 		Output:   e.out.String(),
 		Inputs:   append([]int32(nil), e.inputs...),
-		Legacy:   e.legacy,
 		UBase:    e.ubase,
 		ULen:     int(e.ulen),
 		Partial:  deltaOnly,
@@ -113,19 +111,17 @@ func NewFromState(st *State) (*Emulator, error) {
 		mem.pages[pg.Num] = p
 	}
 	e := &Emulator{
-		Mem:         mem,
-		regs:        st.Regs,
-		pc:          st.PC,
-		halted:      st.Halted,
-		exitCode:    st.ExitCode,
-		icount:      st.ICount,
-		brk:         st.Brk,
-		inputs:      append([]int32(nil), st.Inputs...),
-		legacy:      st.Legacy,
-		decodeCache: make(map[uint32]isa.Inst),
-		MaxOutput:   1 << 20,
-		ubase:       st.UBase,
-		ulen:        uint32(st.ULen),
+		Mem:       mem,
+		regs:      st.Regs,
+		pc:        st.PC,
+		halted:    st.Halted,
+		exitCode:  st.ExitCode,
+		icount:    st.ICount,
+		brk:       st.Brk,
+		inputs:    append([]int32(nil), st.Inputs...),
+		MaxOutput: 1 << 20,
+		ubase:     st.UBase,
+		ulen:      uint32(st.ULen),
 	}
 	e.out.WriteString(st.Output)
 	return e, nil
@@ -144,7 +140,6 @@ func (st *State) Merge(delta *State) *State {
 		Brk:      delta.Brk,
 		Output:   delta.Output,
 		Inputs:   delta.Inputs,
-		Legacy:   delta.Legacy,
 		UBase:    delta.UBase,
 		ULen:     delta.ULen,
 	}

@@ -1,16 +1,14 @@
-// Direct-threaded fast path for the functional emulator.
+// Direct-threaded interpreter for the functional emulator.
 //
-// Instead of decoding through a per-PC map and dispatching through a
-// 60-case switch with per-step closures (kept as stepLegacy for
-// differential testing), the fast path predecodes each static
-// instruction once into a dense micro-op (uop) array indexed by
-// (pc-base)>>2 and dispatches through an indexed handler table of
-// func(*Emulator, *uop, *DynInst). Decode still happens lazily at first
-// execution — exactly the old map semantics, so programs that modify
-// instruction words before first execution behave identically — but a
-// decoded uop carries the instruction fields, the source-register list
-// and the sign-extended immediate / branch target precomputed, and a
-// steady-state Step performs zero allocations.
+// The emulator predecodes each static instruction once into a dense
+// micro-op (uop) array indexed by (pc-base)>>2 and dispatches through an
+// indexed handler table of func(*Emulator, *uop, *DynInst). Decode
+// happens lazily at first execution, so programs that modify instruction
+// words before first execution see the new words; a decoded uop carries
+// the instruction fields, the source-register list and the sign-extended
+// immediate / branch target precomputed, and a steady-state Step
+// performs zero allocations. testdata/stream_golden.json pins the
+// DynInst streams it produces.
 package emu
 
 import (
@@ -51,10 +49,10 @@ const (
 	denseSlack = 64 << 10
 	denseMax   = 4 << 20
 	densePad   = 64
-	// fallCacheMax bounds the out-of-window decode cache. The legacy
-	// interpreter's map[uint32]isa.Inst grew without bound on wrong-path
-	// or generated programs; beyond this many distinct PCs the fallback
-	// decodes into a scratch uop without caching.
+	// fallCacheMax bounds the out-of-window decode cache, which would
+	// otherwise grow without bound on wrong-path or generated programs:
+	// beyond this many distinct PCs the fallback decodes into a scratch
+	// uop without caching.
 	fallCacheMax = 1 << 16
 )
 
@@ -72,8 +70,8 @@ func (f *FetchError) Unwrap() error { return f.Err }
 // initFast sizes the dense uop window [ubase, ubase+4*ulen) for the
 // loaded program and materializes the part that covers its segments.
 // Forks skip this (ulen 0): they execute a handful of wrong-path
-// instructions through the fallback cache, mirroring the fresh per-fork
-// decode map of the legacy interpreter.
+// instructions through the fallback cache, decoding through their own
+// overlay.
 func (e *Emulator) initFast(prog *Program) {
 	lo := e.pc &^ 3
 	for _, s := range prog.Segments {
@@ -209,11 +207,6 @@ func (e *Emulator) badUopError(pc uint32) error {
 // *d. It is the allocation-free core of Step: handlers write their
 // effects directly into d and the emulator state.
 func (e *Emulator) StepInto(d *DynInst) error {
-	if e.legacy {
-		var err error
-		*d, err = e.stepLegacy()
-		return err
-	}
 	if e.halted {
 		*d = DynInst{}
 		return ErrHalted
@@ -243,7 +236,7 @@ func (e *Emulator) StepInto(d *DynInst) error {
 	d.NSrc = int(u.nsrc)
 	d.Src = u.src
 	// Unused source slots hold RegZero, whose register value is pinned
-	// at 0, so reading both unconditionally matches the legacy loop.
+	// at 0, so both are read unconditionally.
 	d.SrcVal[0] = e.regs[u.src[0]]
 	d.SrcVal[1] = e.regs[u.src[1]]
 	d.Dst, d.DstVal = isa.RegZero, 0
@@ -268,8 +261,7 @@ func (e *Emulator) StepInto(d *DynInst) error {
 	return nil
 }
 
-// Handler helpers: the hoisted equivalents of stepLegacy's setDst /
-// setHILO / takeBranch closures.
+// Handler helpers shared by the per-op handlers.
 
 func uSetDst(e *Emulator, d *DynInst, r isa.Reg, v uint32) {
 	d.Dst = r

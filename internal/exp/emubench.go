@@ -19,15 +19,12 @@ type EmuBenchRow struct {
 	InstsPerSec float64
 }
 
-// emuBenchModes are the three ways the rest of the stack drives the
-// emulator: bare (fast-forward), with a DynInst stream visitor attached
-// (telemetry, trace export, the timing front end), and in lockstep with
-// the legacy interpreter comparing streams (the differential oracle and
-// the soak harness).
+// The two ways the rest of the stack drives the emulator: bare
+// (fast-forward) and with a DynInst stream visitor attached (telemetry,
+// trace export, the timing front end).
 const (
-	EmuModeBare     = "bare"
-	EmuModeVisitor  = "visitor"
-	EmuModeLockstep = "lockstep"
+	EmuModeBare    = "bare"
+	EmuModeVisitor = "visitor"
 )
 
 // EmuBench measures functional-emulator throughput on the first selected
@@ -40,7 +37,7 @@ func EmuBench(opt Options) ([]EmuBenchRow, error) {
 	if budget < DefaultMaxInsts {
 		budget = DefaultMaxInsts
 	}
-	rows := make([]EmuBenchRow, 0, 3)
+	rows := make([]EmuBenchRow, 0, 2)
 
 	run := func(mode string, f func(prog *emu.Program) (uint64, error)) error {
 		prog, _, err := opt.program(name)
@@ -73,29 +70,6 @@ func EmuBench(opt Options) ([]EmuBenchRow, error) {
 		})
 		_ = sink
 		return n, err
-	}); err != nil {
-		return nil, err
-	}
-	if err := run(EmuModeLockstep, func(prog *emu.Program) (uint64, error) {
-		fast := emu.New(prog)
-		slow := emu.New(prog)
-		slow.SetLegacy(true)
-		var n uint64
-		for n < budget && !fast.Halted() {
-			df, err := fast.Step()
-			if err != nil {
-				return n, err
-			}
-			ds, err := slow.Step()
-			if err != nil {
-				return n, err
-			}
-			if df != ds {
-				return n, fmt.Errorf("interpreter divergence at inst %d: fast %+v legacy %+v", n, df, ds)
-			}
-			n++
-		}
-		return n, nil
 	}); err != nil {
 		return nil, err
 	}
