@@ -325,8 +325,8 @@ func (a *assembler) pass2() (*emu.Program, error) {
 			*have = true
 		}
 		off := int(addr - *base)
-		for off+len(b) > len(*seg) {
-			*seg = append(*seg, 0)
+		if end := off + len(b); end > len(*seg) {
+			*seg = append(*seg, make([]byte, end-len(*seg))...)
 		}
 		copy((*seg)[off:], b)
 	}

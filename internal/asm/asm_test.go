@@ -1,6 +1,9 @@
 package asm
 
 import (
+	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -454,5 +457,46 @@ main:
 `+exitAsm)
 	if e.Reg(10) != 11 || e.Reg(11) != 1 || e.Reg(12) != 1 {
 		t.Fatalf("div forms: %d %d %d", e.Reg(10), e.Reg(11), e.Reg(12))
+	}
+}
+
+// TestSpaceAllocBound: a 64 KB .space grows its segment in one step, so
+// assembling it allocates a small multiple of the image rather than one
+// growth per zero byte, and the image holds the bytes around it intact.
+func TestSpaceAllocBound(t *testing.T) {
+	const arena = 64 << 10
+	src := fmt.Sprintf(`
+.data
+head:  .word 0x11223344
+arena: .space %d
+tail:  .word 0x55667788
+.text
+main:`+exitAsm, arena)
+	prog, err := Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 4+arena+4)
+	copy(want, []byte{0x44, 0x33, 0x22, 0x11})
+	copy(want[4+arena:], []byte{0x88, 0x77, 0x66, 0x55})
+	var data []byte
+	for _, s := range prog.Segments {
+		if s.Addr == prog.Symbols["head"] {
+			data = s.Data
+		}
+	}
+	if !bytes.Equal(data, want) {
+		t.Fatalf("data segment of %d bytes differs from the %d-byte image", len(data), len(want))
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Assemble(src); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*uint64(len(want)) {
+		t.Fatalf("assembling a %d-byte image allocates %d bytes, want at most %d",
+			len(want), got, 4*len(want))
 	}
 }
