@@ -7,7 +7,8 @@
 //	pok-bench                 # full evaluation at the default budget
 //	pok-bench -insts 100000   # quicker pass
 //	pok-bench -out results/   # also write per-experiment files
-//	pok-bench -emu            # standalone emulator throughput only
+//	pok-bench -exp emu        # standalone emulator throughput only
+//	pok-bench -exp table1,figure6,profile -bench li   # a chosen subset
 //	pok-bench -json           # machine-readable BENCH_<date>.json regression record
 //	pok-bench -telemetry      # per-config telemetry summaries (telemetry_<cfg>.json)
 //	pok-bench -compare old.json new.json   # regression gate: exit 1 on >25% slowdown
@@ -24,6 +25,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -31,9 +33,15 @@ import (
 	"pok/internal/serve"
 )
 
+// experiments lists every experiment -exp accepts, in the order they
+// run; all but profile run by default.
+var experiments = []string{"emu", "ckpt", "table1", "figure2", "figure4", "figure6", "figure11", "profile"}
+
 func main() {
 	insts := flag.Uint64("insts", 0, "instruction budget per benchmark per run (0 = default)")
-	emuOnly := flag.Bool("emu", false, "run only the standalone emulator-throughput experiment")
+	exps := flag.String("exp", strings.Join(experiments[:len(experiments)-1], ","),
+		"comma-separated experiments to run, from: "+strings.Join(experiments, ", ")+
+			" (figure11 includes figure12 and the CPI stacks; profile is the instruction mix)")
 	ablations := flag.Bool("ablations", false, "also run the ablation studies (narrow-width, predictor, window)")
 	outDir := flag.String("out", "", "directory to write per-experiment result files")
 	benches := flag.String("bench", "", "comma-separated benchmarks (default: all)")
@@ -73,6 +81,14 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
+	run := map[string]bool{}
+	for _, e := range strings.Split(*exps, ",") {
+		if !slices.Contains(experiments, e) {
+			fatal(fmt.Errorf("unknown experiment %q (want one of %s)", e, strings.Join(experiments, ", ")))
+		}
+		run[e] = true
+	}
+
 	opt := pok.Options{MaxInsts: *insts, Parallel: *parallel}
 	if *benches != "" {
 		opt.Benchmarks = strings.Split(*benches, ",")
@@ -108,7 +124,7 @@ func main() {
 	}
 
 	// finish writes the optional JSON record and heap profile and prints
-	// the total wall time; shared by the full run and the -emu shortcut.
+	// the total wall time.
 	finish := func(total time.Duration) {
 		if *jsonOut || *jsonFile != "" {
 			build := pok.DetectBuild()
@@ -161,144 +177,174 @@ func main() {
 
 	start := time.Now()
 
-	// Functional-emulator throughput first: it is the substrate every
-	// other experiment (fast-forward, oracle, soak) runs on, and a
-	// standalone record catches fast-path regressions independently of
-	// timing-core noise.
-	emuStart := time.Now()
-	emuRows, err := pok.EmuBench(opt)
-	if err != nil {
-		fatal(err)
-	}
-	emuRec := pok.BenchExperiment{
-		Experiment: "emu",
-		WallMillis: time.Since(emuStart).Milliseconds(),
-	}
-	if len(emuRows) > 0 {
-		emuRec.EmuInstsPerSec = emuRows[0].InstsPerSec // headline: bare mode
-	}
-	records = append(records, emuRec)
-	emit("emu", pok.RenderEmuBench(emuRows))
-
-	if *emuOnly {
-		finish(time.Since(start))
-		return
-	}
-
-	// Checkpointing cost: a disarmed run (the hot loop must not pay for
-	// the feature — CI gates this row's throughput against the committed
-	// baseline) and a run at an 8-snapshot cadence (drain + capture +
-	// encode cost per snapshot).
-	ckStart := time.Now()
-	ck, err := pok.CkptBench(opt)
-	if err != nil {
-		fatal(err)
-	}
-	var ckCycles int64
-	for _, r := range ck {
-		ckCycles += r.Cycles
-	}
-	record("ckpt", ckStart, ckCycles, 0)
-	emit("ckpt", pok.RenderCkptBench(ck))
-
-	t1Start := time.Now()
-	t1, err := pok.Table1(opt)
-	if err != nil {
-		fatal(err)
-	}
-	var t1Cycles int64
-	var t1IPC float64
-	for _, r := range t1 {
-		if r.IPC > 0 {
-			t1Cycles += int64(float64(r.Insts) / r.IPC)
-		}
-		t1IPC += r.IPC
-	}
-	if len(t1) > 0 {
-		t1IPC /= float64(len(t1))
-	}
-	record("table1", t1Start, t1Cycles, t1IPC)
-	emit("table1", pok.RenderTable1(t1))
-
-	f2Start := time.Now()
-	f2opt := opt
-	if len(f2opt.Benchmarks) == 0 {
-		f2opt.Benchmarks = []string{"bzip", "gcc"}
-	}
-	f2, err := pok.Figure2(f2opt)
-	if err != nil {
-		fatal(err)
-	}
-	record("figure2", f2Start, 0, 0)
-	emit("figure2", pok.RenderFigure2(f2))
-
-	f4Start := time.Now()
-	f4opt := opt
-	if len(f4opt.Benchmarks) == 0 {
-		f4opt.Benchmarks = []string{"mcf", "twolf"}
-	}
-	f4, err := pok.Figure4(f4opt, nil)
-	if err != nil {
-		fatal(err)
-	}
-	record("figure4", f4Start, 0, 0)
-	emit("figure4", pok.RenderFigure4(f4))
-
-	f6Start := time.Now()
-	f6, err := pok.Figure6(opt)
-	if err != nil {
-		fatal(err)
-	}
-	record("figure6", f6Start, 0, 0)
-	emit("figure6", pok.RenderFigure6(f6))
-	emit("figure6-plot", pok.PlotFigure6(f6))
-
-	for _, sliceBy := range []int{2, 4} {
-		f11Start := time.Now()
-		f11, err := pok.Figure11(opt, sliceBy)
+	if run["emu"] {
+		// Functional-emulator throughput first: it is the substrate every
+		// other experiment (fast-forward, oracle, soak) runs on, and a
+		// standalone record catches fast-path regressions independently of
+		// timing-core noise.
+		emuStart := time.Now()
+		emuRows, err := pok.EmuBench(opt)
 		if err != nil {
 			fatal(err)
 		}
-		var cycles int64
-		var ipc float64
-		var nres int
-		for _, row := range f11 {
-			if row.BaseResult != nil {
-				cycles += row.BaseResult.Cycles
-			}
-			for _, res := range row.Results {
-				cycles += res.Cycles
-			}
-			if n := len(row.StackIPC); n > 0 {
-				ipc += row.StackIPC[n-1]
-				nres++
-			}
+		emuRec := pok.BenchExperiment{
+			Experiment: "emu",
+			WallMillis: time.Since(emuStart).Milliseconds(),
 		}
-		if nres > 0 {
-			ipc /= float64(nres)
+		if len(emuRows) > 0 {
+			emuRec.EmuInstsPerSec = emuRows[0].InstsPerSec // headline: bare mode
 		}
-		record(fmt.Sprintf("figure11-x%d", sliceBy), f11Start, cycles, ipc)
-		emit(fmt.Sprintf("figure11-x%d", sliceBy), pok.RenderFigure11(f11))
-		emit(fmt.Sprintf("figure11-x%d-plot", sliceBy), pok.PlotFigure11(f11))
-		f12 := pok.Figure12(f11)
-		emit(fmt.Sprintf("figure12-x%d", sliceBy), pok.RenderFigure12(f12))
-		emit(fmt.Sprintf("figure12-x%d-plot", sliceBy), pok.PlotFigure12(f12))
+		records = append(records, emuRec)
+		emit("emu", pok.RenderEmuBench(emuRows))
+	}
 
-		// Cycle-attribution companion: where each technique's Figure 12
-		// delta actually came from (internal/profile CPI stacks).
-		csStart := time.Now()
-		cs, err := pok.CPIStackReport(opt, sliceBy)
+	if run["ckpt"] {
+		// Checkpointing cost: a disarmed run (the hot loop must not pay for
+		// the feature — CI gates this row's throughput against the committed
+		// baseline) and a run at an 8-snapshot cadence (drain + capture +
+		// encode cost per snapshot).
+		ckStart := time.Now()
+		ck, err := pok.CkptBench(opt)
 		if err != nil {
 			fatal(err)
 		}
-		var csCycles int64
-		for _, row := range cs {
-			for _, st := range row.Stacks {
-				csCycles += st.Cycles
-			}
+		var ckCycles int64
+		for _, r := range ck {
+			ckCycles += r.Cycles
 		}
-		record(fmt.Sprintf("cpistack-x%d", sliceBy), csStart, csCycles, 0)
-		emit(fmt.Sprintf("cpistack-x%d", sliceBy), pok.RenderCPIStackReport(cs))
+		record("ckpt", ckStart, ckCycles, 0)
+		emit("ckpt", pok.RenderCkptBench(ck))
+	}
+
+	if run["table1"] {
+		t1Start := time.Now()
+		t1, err := pok.Table1(opt)
+		if err != nil {
+			fatal(err)
+		}
+		var t1Cycles int64
+		var t1IPC float64
+		for _, r := range t1 {
+			if r.IPC > 0 {
+				t1Cycles += int64(float64(r.Insts) / r.IPC)
+			}
+			t1IPC += r.IPC
+		}
+		if len(t1) > 0 {
+			t1IPC /= float64(len(t1))
+		}
+		record("table1", t1Start, t1Cycles, t1IPC)
+		emit("table1", pok.RenderTable1(t1))
+	}
+
+	if run["figure2"] {
+		f2Start := time.Now()
+		f2opt := opt
+		if len(f2opt.Benchmarks) == 0 {
+			f2opt.Benchmarks = []string{"bzip", "gcc"}
+		}
+		f2, err := pok.Figure2(f2opt)
+		if err != nil {
+			fatal(err)
+		}
+		record("figure2", f2Start, 0, 0)
+		emit("figure2", pok.RenderFigure2(f2))
+	}
+
+	if run["figure4"] {
+		f4Start := time.Now()
+		f4opt := opt
+		if len(f4opt.Benchmarks) == 0 {
+			f4opt.Benchmarks = []string{"mcf", "twolf"}
+		}
+		f4, err := pok.Figure4(f4opt, nil)
+		if err != nil {
+			fatal(err)
+		}
+		record("figure4", f4Start, 0, 0)
+		emit("figure4", pok.RenderFigure4(f4))
+	}
+
+	if run["figure6"] {
+		f6Start := time.Now()
+		f6, err := pok.Figure6(opt)
+		if err != nil {
+			fatal(err)
+		}
+		record("figure6", f6Start, 0, 0)
+		emit("figure6", pok.RenderFigure6(f6))
+		emit("figure6-plot", pok.PlotFigure6(f6))
+	}
+
+	if run["figure11"] {
+		for _, sliceBy := range []int{2, 4} {
+			f11Start := time.Now()
+			f11, err := pok.Figure11(opt, sliceBy)
+			if err != nil {
+				fatal(err)
+			}
+			var cycles int64
+			var ipc float64
+			var nres int
+			for _, row := range f11 {
+				if row.BaseResult != nil {
+					cycles += row.BaseResult.Cycles
+				}
+				for _, res := range row.Results {
+					cycles += res.Cycles
+				}
+				if n := len(row.StackIPC); n > 0 {
+					ipc += row.StackIPC[n-1]
+					nres++
+				}
+			}
+			if nres > 0 {
+				ipc /= float64(nres)
+			}
+			record(fmt.Sprintf("figure11-x%d", sliceBy), f11Start, cycles, ipc)
+			emit(fmt.Sprintf("figure11-x%d", sliceBy), pok.RenderFigure11(f11))
+			emit(fmt.Sprintf("figure11-x%d-plot", sliceBy), pok.PlotFigure11(f11))
+			f12 := pok.Figure12(f11)
+			emit(fmt.Sprintf("figure12-x%d", sliceBy), pok.RenderFigure12(f12))
+			emit(fmt.Sprintf("figure12-x%d-plot", sliceBy), pok.PlotFigure12(f12))
+
+			// Cycle-attribution companion: where each technique's Figure 12
+			// delta actually came from (internal/profile CPI stacks).
+			csStart := time.Now()
+			cs, err := pok.CPIStackReport(opt, sliceBy)
+			if err != nil {
+				fatal(err)
+			}
+			var csCycles int64
+			for _, row := range cs {
+				for _, st := range row.Stacks {
+					csCycles += st.Cycles
+				}
+			}
+			record(fmt.Sprintf("cpistack-x%d", sliceBy), csStart, csCycles, 0)
+			emit(fmt.Sprintf("cpistack-x%d", sliceBy), pok.RenderCPIStackReport(cs))
+		}
+	}
+
+	if run["profile"] {
+		// Dynamic instruction mix per benchmark (default budget 300k).
+		names := opt.Benchmarks
+		if len(names) == 0 {
+			names = pok.Benchmarks()
+		}
+		budget := opt.MaxInsts
+		if budget == 0 {
+			budget = 300_000
+		}
+		var b strings.Builder
+		for _, n := range names {
+			p, err := pok.ProfileBenchmark(n, budget)
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Fprintf(&b, "=== %s ===\n%s\n", n, p)
+		}
+		emit("profile", b.String())
 	}
 
 	if *ablations {

@@ -4,7 +4,9 @@
 // It provides, entirely from scratch and on the standard library only:
 //
 //   - a PISA-like 32-bit MIPS instruction set with real binary encodings,
-//     an assembler and a functional emulator (internal/isa, asm, emu);
+//     an assembler and one direct-threaded functional emulator whose
+//     DynInst streams are pinned by golden digests (internal/isa, asm,
+//     emu);
 //   - the paper's machine substrates: a 64k gshare + BTB + RAS predictor,
 //     a two-level set-associative cache hierarchy with partial tag
 //     matching and MRU way prediction, and a unified load/store queue
