@@ -2,8 +2,8 @@
 // hierarchy, including the partial tag matching mechanism of paper §5.2:
 // once the low 16 bits of an effective address are known, the cache index
 // and a few low tag bits are available, which is enough to speculatively
-// select a way (the most recently used matching way) or to signal a miss early and
-// non-speculatively.
+// select a way (the most recently used of the matching ways) or to signal
+// a miss early and non-speculatively.
 package cache
 
 import (

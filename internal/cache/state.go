@@ -30,8 +30,7 @@ func (c *Cache) State() *CacheState {
 	st := &CacheState{
 		Sets: c.nSets, Assoc: assoc,
 		Valid: make([]byte, n), Dirty: make([]byte, n),
-		Tag: make([]uint32, n), LRU: make([]uint64, n),
-		Clock:    c.clock,
+		Tag: make([]uint32, n), LRU: make([]uint64, n), Clock: c.clock,
 		Accesses: c.Accesses, Misses: c.Misses,
 		Writes: c.Writes, Writebacks: c.Writebacks,
 	}
