@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet bench prof perfbench-test ci check fuzz-smoke soak soak-smoke fleet-smoke chaos-smoke ckpt-smoke eval eval-quick examples loc clean
+.PHONY: all build test test-race vet bench bench-record prof perfbench-test ci check fuzz-smoke soak soak-smoke fleet-smoke chaos-smoke ckpt-smoke eval eval-quick examples loc clean
 
 all: build test
 
@@ -100,14 +100,19 @@ ckpt-smoke:
 	bash scripts/ckpt_smoke.sh
 
 # Reduced-budget benchmark versions of every table/figure plus the
-# substrate micro-benchmarks, then a quick-budget pok-bench pass that
-# refreshes the repo-root BENCH_PR10.json regression record (the CI
-# smoke gate compares against the newest committed BENCH_*.json via
-# sort -V, so the emulator-throughput `emu` and checkpointing-cost
-# `ckpt` experiments are gated too).
+# substrate micro-benchmarks (go test -bench). The timed record is
+# bench-record's.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/pok-bench -json-file BENCH_PR10.json -insts 20000
+
+# The benchmark record (scripts/bench_record.sh): repeated perfbench runs
+# of every BENCHMARK.json workload, summarised as the median and
+# quartiles of every metric in BENCH_PR<PR>.json. About a quarter hour.
+# CI gates a fresh record against the newest committed one:
+#   bash scripts/bench_record.sh gate BENCH_PR<old>.json BENCH_PR<new>.json
+bench-record:
+	@[ -n "$(PR)" ] || { echo "usage: make bench-record PR=<n>"; exit 2; }
+	bash scripts/bench_record.sh record BENCH_PR$(PR).json
 
 # CPU profiles of the Figure 11 slice-by-2 and slice-by-4 benchmarks,
 # where the timing core's scheduler dominates, and of the checkpointed

@@ -1,17 +1,15 @@
 // pok-bench regenerates every table and figure of the paper's evaluation
 // section and writes the rendered results to stdout and, optionally, to a
-// results directory (one file per experiment).
+// results directory (one file per experiment). It does not time the
+// simulator: the benchmark record is perfbench's (`make bench-record`).
 //
 // Usage:
 //
 //	pok-bench                 # full evaluation at the default budget
 //	pok-bench -insts 100000   # quicker pass
 //	pok-bench -out results/   # also write per-experiment files
-//	pok-bench -exp emu        # standalone emulator throughput only
 //	pok-bench -exp table1,figure6,profile -bench li   # a chosen subset
-//	pok-bench -json           # machine-readable BENCH_<date>.json regression record
 //	pok-bench -telemetry      # per-config telemetry summaries (telemetry_<cfg>.json)
-//	pok-bench -compare old.json new.json   # regression gate: exit 1 on >25% slowdown
 //	pok-bench -submit http://host:8080     # run the sweep as a pok-serve fleet job
 //	pok-bench -cpuprofile cpu.out -memprofile mem.out
 package main
@@ -27,7 +25,6 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strings"
-	"time"
 
 	"pok"
 	"pok/internal/serve"
@@ -35,7 +32,7 @@ import (
 
 // experiments lists every experiment -exp accepts, in the order they
 // run; all but profile run by default.
-var experiments = []string{"emu", "ckpt", "table1", "figure2", "figure4", "figure6", "figure11", "profile"}
+var experiments = []string{"table1", "figure2", "figure4", "figure6", "figure11", "profile"}
 
 func main() {
 	insts := flag.Uint64("insts", 0, "instruction budget per benchmark per run (0 = default)")
@@ -46,11 +43,7 @@ func main() {
 	outDir := flag.String("out", "", "directory to write per-experiment result files")
 	benches := flag.String("bench", "", "comma-separated benchmarks (default: all)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "concurrent benchmarks per experiment")
-	jsonOut := flag.Bool("json", false, "write a BENCH_<date>.json regression record (to -out dir, or the working directory)")
-	jsonFile := flag.String("json-file", "", "exact path for the -json record (default BENCH_<date>.json; implies -json)")
 	telemetryRun := flag.Bool("telemetry", false, "collect per-config pipeline telemetry and write telemetry_<cfg>.json summaries")
-	compare := flag.Bool("compare", false, "compare two BENCH json records (args: old.json new.json); exit 1 on regression")
-	tolerance := flag.Float64("tolerance", 0, "regression tolerance for -compare as a fraction (0 = default 0.25)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after all experiments) to this file")
 	submit := flag.String("submit", "", "submit the benchmark sweep to this pok-serve coordinator URL instead of running in-process")
@@ -58,14 +51,6 @@ func main() {
 
 	if *submit != "" {
 		runSubmit(*submit, *benches, *insts)
-		return
-	}
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fatal(fmt.Errorf("-compare needs exactly two arguments: old.json new.json"))
-		}
-		runCompare(flag.Arg(0), flag.Arg(1), *tolerance)
 		return
 	}
 
@@ -107,138 +92,15 @@ func main() {
 		}
 	}
 
-	var records []pok.BenchExperiment
-	// record captures one experiment's wall time and derived metrics.
-	record := func(name string, start time.Time, cycles int64, meanIPC float64) {
-		wall := time.Since(start)
-		r := pok.BenchExperiment{
-			Experiment: name,
-			WallMillis: wall.Milliseconds(),
-			SimCycles:  cycles,
-			MeanIPC:    meanIPC,
-		}
-		if cycles > 0 && wall > 0 {
-			r.SimCyclesPerSec = float64(cycles) / wall.Seconds()
-		}
-		records = append(records, r)
-	}
-
-	// finish writes the optional JSON record and heap profile and prints
-	// the total wall time.
-	finish := func(total time.Duration) {
-		if *jsonOut || *jsonFile != "" {
-			build := pok.DetectBuild()
-			report := pok.BenchReport{
-				Date:        time.Now().Format("2006-01-02"),
-				GoVersion:   build.GoVersion,
-				NumCPU:      runtime.NumCPU(),
-				Gomaxprocs:  runtime.GOMAXPROCS(0),
-				CPUModel:    cpuModel(),
-				GitSHA:      build.GitSHA,
-				InstsBudget: *insts,
-				Parallel:    *parallel,
-				TotalWallMS: total.Milliseconds(),
-				Experiments: records,
-			}
-			blob, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fatal(err)
-			}
-			path := *jsonFile
-			if path == "" {
-				dir := *outDir
-				if dir == "" {
-					dir = "."
-				} else if err := os.MkdirAll(dir, 0o755); err != nil {
-					fatal(err)
-				}
-				path = filepath.Join(dir, "BENCH_"+report.Date+".json")
-			}
-			if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-
-		if *memProfile != "" {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fatal(err)
-			}
-			runtime.GC() // materialize the final live set
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-			f.Close()
-		}
-
-		fmt.Printf("total wall time: %s\n", total.Round(time.Millisecond))
-	}
-
-	start := time.Now()
-
-	if run["emu"] {
-		// Functional-emulator throughput first: it is the substrate every
-		// other experiment (fast-forward, oracle, soak) runs on, and a
-		// standalone record catches fast-path regressions independently of
-		// timing-core noise.
-		emuStart := time.Now()
-		emuRows, err := pok.EmuBench(opt)
-		if err != nil {
-			fatal(err)
-		}
-		emuRec := pok.BenchExperiment{
-			Experiment: "emu",
-			WallMillis: time.Since(emuStart).Milliseconds(),
-		}
-		if len(emuRows) > 0 {
-			emuRec.EmuInstsPerSec = emuRows[0].InstsPerSec // headline: bare mode
-		}
-		records = append(records, emuRec)
-		emit("emu", pok.RenderEmuBench(emuRows))
-	}
-
-	if run["ckpt"] {
-		// Checkpointing cost: a disarmed run (the hot loop must not pay for
-		// the feature — CI gates this row's throughput against the committed
-		// baseline) and a run at an 8-snapshot cadence (drain + capture +
-		// encode cost per snapshot).
-		ckStart := time.Now()
-		ck, err := pok.CkptBench(opt)
-		if err != nil {
-			fatal(err)
-		}
-		var ckCycles int64
-		for _, r := range ck {
-			ckCycles += r.Cycles
-		}
-		record("ckpt", ckStart, ckCycles, 0)
-		emit("ckpt", pok.RenderCkptBench(ck))
-	}
-
 	if run["table1"] {
-		t1Start := time.Now()
 		t1, err := pok.Table1(opt)
 		if err != nil {
 			fatal(err)
 		}
-		var t1Cycles int64
-		var t1IPC float64
-		for _, r := range t1 {
-			if r.IPC > 0 {
-				t1Cycles += int64(float64(r.Insts) / r.IPC)
-			}
-			t1IPC += r.IPC
-		}
-		if len(t1) > 0 {
-			t1IPC /= float64(len(t1))
-		}
-		record("table1", t1Start, t1Cycles, t1IPC)
 		emit("table1", pok.RenderTable1(t1))
 	}
 
 	if run["figure2"] {
-		f2Start := time.Now()
 		f2opt := opt
 		if len(f2opt.Benchmarks) == 0 {
 			f2opt.Benchmarks = []string{"bzip", "gcc"}
@@ -247,12 +109,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		record("figure2", f2Start, 0, 0)
 		emit("figure2", pok.RenderFigure2(f2))
 	}
 
 	if run["figure4"] {
-		f4Start := time.Now()
 		f4opt := opt
 		if len(f4opt.Benchmarks) == 0 {
 			f4opt.Benchmarks = []string{"mcf", "twolf"}
@@ -261,47 +121,24 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		record("figure4", f4Start, 0, 0)
 		emit("figure4", pok.RenderFigure4(f4))
 	}
 
 	if run["figure6"] {
-		f6Start := time.Now()
 		f6, err := pok.Figure6(opt)
 		if err != nil {
 			fatal(err)
 		}
-		record("figure6", f6Start, 0, 0)
 		emit("figure6", pok.RenderFigure6(f6))
 		emit("figure6-plot", pok.PlotFigure6(f6))
 	}
 
 	if run["figure11"] {
 		for _, sliceBy := range []int{2, 4} {
-			f11Start := time.Now()
 			f11, err := pok.Figure11(opt, sliceBy)
 			if err != nil {
 				fatal(err)
 			}
-			var cycles int64
-			var ipc float64
-			var nres int
-			for _, row := range f11 {
-				if row.BaseResult != nil {
-					cycles += row.BaseResult.Cycles
-				}
-				for _, res := range row.Results {
-					cycles += res.Cycles
-				}
-				if n := len(row.StackIPC); n > 0 {
-					ipc += row.StackIPC[n-1]
-					nres++
-				}
-			}
-			if nres > 0 {
-				ipc /= float64(nres)
-			}
-			record(fmt.Sprintf("figure11-x%d", sliceBy), f11Start, cycles, ipc)
 			emit(fmt.Sprintf("figure11-x%d", sliceBy), pok.RenderFigure11(f11))
 			emit(fmt.Sprintf("figure11-x%d-plot", sliceBy), pok.PlotFigure11(f11))
 			f12 := pok.Figure12(f11)
@@ -310,18 +147,10 @@ func main() {
 
 			// Cycle-attribution companion: where each technique's Figure 12
 			// delta actually came from (internal/profile CPI stacks).
-			csStart := time.Now()
 			cs, err := pok.CPIStackReport(opt, sliceBy)
 			if err != nil {
 				fatal(err)
 			}
-			var csCycles int64
-			for _, row := range cs {
-				for _, st := range row.Stacks {
-					csCycles += st.Cycles
-				}
-			}
-			record(fmt.Sprintf("cpistack-x%d", sliceBy), csStart, csCycles, 0)
 			emit(fmt.Sprintf("cpistack-x%d", sliceBy), pok.RenderCPIStackReport(cs))
 		}
 	}
@@ -348,7 +177,6 @@ func main() {
 	}
 
 	if *ablations {
-		abStart := time.Now()
 		nw, err := pok.NarrowWidthAblation(opt, 2)
 		if err != nil {
 			fatal(err)
@@ -390,18 +218,25 @@ func main() {
 			fatal(err)
 		}
 		emit("ablation-lsq", pok.RenderLSQSweep(ls))
-		record("ablations", abStart, 0, 0)
 	}
 
 	if *telemetryRun {
-		telStart := time.Now()
 		if err := runTelemetry(opt, *outDir, emit); err != nil {
 			fatal(err)
 		}
-		record("telemetry", telStart, 0, 0)
 	}
 
-	finish(time.Since(start))
+	if *memProfile != "" {
+		f, err := os.Create(*memProfile)
+		if err != nil {
+			fatal(err)
+		}
+		runtime.GC() // materialize the final live set
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fatal(err)
+		}
+		f.Close()
+	}
 }
 
 // runSubmit runs the headline IPC sweep (every benchmark × headline
@@ -465,28 +300,10 @@ func runSubmit(url, benches string, insts uint64) {
 	}
 }
 
-// runCompare is the CI regression gate: it diffs two -json records and
-// exits non-zero when any experiment slowed beyond the tolerance.
-func runCompare(oldPath, newPath string, tolerance float64) {
-	oldR, err := pok.LoadBenchReport(oldPath)
-	if err != nil {
-		fatal(err)
-	}
-	newR, err := pok.LoadBenchReport(newPath)
-	if err != nil {
-		fatal(err)
-	}
-	cmp := pok.CompareBenchReports(oldR, newR, tolerance)
-	fmt.Print(cmp.Render())
-	if cmp.Regressed() {
-		os.Exit(1)
-	}
-}
-
 // runTelemetry runs one benchmark under each headline machine with a
 // telemetry recorder attached, prints the per-stage summaries, and
 // writes the machine-readable telemetry_<config>.json files CI
-// archives alongside the BENCH record.
+// archives with the tables.
 func runTelemetry(opt pok.Options, outDir string, emit func(name, content string)) error {
 	bench := "gzip"
 	if len(opt.Benchmarks) > 0 {
@@ -525,22 +342,6 @@ func runTelemetry(opt pok.Options, outDir string, emit func(name, content string
 	}
 	emit("telemetry", report.String())
 	return nil
-}
-
-// cpuModel reads the CPU model string from /proc/cpuinfo (Linux); the
-// report field stays empty on other platforms or on any read error.
-func cpuModel() string {
-	blob, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return ""
-	}
-	for _, line := range strings.Split(string(blob), "\n") {
-		if k, v, ok := strings.Cut(line, ":"); ok &&
-			strings.TrimSpace(k) == "model name" {
-			return strings.TrimSpace(v)
-		}
-	}
-	return ""
 }
 
 func fatal(err error) {

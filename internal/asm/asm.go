@@ -311,7 +311,9 @@ func (a *assembler) pass2() (*emu.Program, error) {
 	textBase, dataBase := uint32(0), uint32(0)
 	haveText, haveData := false, false
 
-	put := func(sec section, addr uint32, b []byte) {
+	// extend grows sec's segment, zero-filled, to cover n bytes at addr
+	// and returns those bytes.
+	extend := func(sec section, addr uint32, n int) []byte {
 		var seg *[]byte
 		var base *uint32
 		var have *bool
@@ -325,11 +327,12 @@ func (a *assembler) pass2() (*emu.Program, error) {
 			*have = true
 		}
 		off := int(addr - *base)
-		if end := off + len(b); end > len(*seg) {
+		if end := off + n; end > len(*seg) {
 			*seg = append(*seg, make([]byte, end-len(*seg))...)
 		}
-		copy((*seg)[off:], b)
+		return (*seg)[off : off+n]
 	}
+	put := func(sec section, addr uint32, b []byte) { copy(extend(sec, addr, len(b)), b) }
 
 	for _, st := range a.stmts {
 		switch st.mnem {
@@ -360,7 +363,9 @@ func (a *assembler) pass2() (*emu.Program, error) {
 				put(st.sec, st.addr+uint32(i*width), b[:width])
 			}
 		case ".space":
-			put(st.sec, st.addr, make([]byte, st.size))
+			// Zero in place: a section re-entered at a lower address may
+			// already hold bytes here.
+			clear(extend(st.sec, st.addr, int(st.size)))
 		case ".ascii", ".asciiz":
 			s, _ := parseString(st.args[0])
 			b := []byte(s)

@@ -146,22 +146,18 @@ func SimulateBenchmark(name string, cfg Config, maxInsts uint64) (*Result, error
 
 // Experiment drivers (one per paper table/figure) and their renderers.
 var (
-	Table1          = exp.Table1
-	RenderTable1    = exp.RenderTable1
-	EmuBench        = exp.EmuBench
-	RenderEmuBench  = exp.RenderEmuBench
-	CkptBench       = exp.CkptBench
-	RenderCkptBench = exp.RenderCkptBench
-	Figure2         = exp.Figure2
-	RenderFigure2   = exp.RenderFigure2
-	Figure4         = exp.Figure4
-	RenderFigure4   = exp.RenderFigure4
-	Figure6         = exp.Figure6
-	RenderFigure6   = exp.RenderFigure6
-	Figure11        = exp.Figure11
-	RenderFigure11  = exp.RenderFigure11
-	Figure12        = exp.Figure12
-	RenderFigure12  = exp.RenderFigure12
+	Table1         = exp.Table1
+	RenderTable1   = exp.RenderTable1
+	Figure2        = exp.Figure2
+	RenderFigure2  = exp.RenderFigure2
+	Figure4        = exp.Figure4
+	RenderFigure4  = exp.RenderFigure4
+	Figure6        = exp.Figure6
+	RenderFigure6  = exp.RenderFigure6
+	Figure11       = exp.Figure11
+	RenderFigure11 = exp.RenderFigure11
+	Figure12       = exp.Figure12
+	RenderFigure12 = exp.RenderFigure12
 	// CPIStackReport runs the technique ladder with the profiler
 	// attached: the per-technique cycle-attribution companion to
 	// Figures 11/12.
@@ -273,25 +269,6 @@ var (
 	// NewSelfProfile starts a wall-clock phase recorder for the
 	// Perfetto self-profiling overlay.
 	NewSelfProfile = profile.NewSelfProfile
-)
-
-// Benchmark-regression records: the machine-readable BENCH_<date>.json
-// files pok-bench -json writes and CI gates on via -compare.
-type (
-	// BenchReport is one pok-bench -json record.
-	BenchReport = exp.BenchReport
-	// BenchExperiment is one experiment entry of a BenchReport.
-	BenchExperiment = exp.BenchExperiment
-	// BenchComparison is the diff of two BenchReports.
-	BenchComparison = exp.BenchComparison
-)
-
-var (
-	// LoadBenchReport reads a BENCH_<date>.json file.
-	LoadBenchReport = exp.LoadBenchReport
-	// CompareBenchReports diffs two records against a regression
-	// tolerance (0 = the default 25%).
-	CompareBenchReports = exp.CompareBenchReports
 )
 
 // Robustness & verification: the lockstep commit oracle, the per-cycle
