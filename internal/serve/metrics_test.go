@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,6 +16,8 @@ import (
 	"pok/internal/metrics"
 	"pok/internal/profile"
 	"pok/internal/soak"
+	"pok/internal/stats"
+	"pok/internal/telemetry"
 )
 
 // testSnap builds a lease snapshot whose slice2 CPI stack keeps the
@@ -160,6 +163,70 @@ func TestFleetMetricsAggregation(t *testing.T) {
 	// Byte-stable for a fixed fleet state.
 	if again := c.PromText(); !bytes.Equal(text, again) {
 		t.Fatal("second scrape differs from first")
+	}
+}
+
+// promGoldenFile pins the /metrics exposition of promFleet's state.
+const promGoldenFile = "testdata/prom_golden.txt"
+
+// promFleet drives a coordinator to a fixed state that reaches every
+// /metrics series: a build stamp, two workers (w1 self-reports RPC
+// stats), a soak job with occupancy telemetry, a finding and a tail
+// stolen by w2, and a second job failed past its retry budget.
+func promFleet(t *testing.T) *Coordinator {
+	t.Helper()
+	c, _ := testCoordinator(time.Minute)
+	c.SetBuild(metrics.BuildInfo{GitSHA: "0123abc", GoVersion: "go1.test"})
+	soakJob(t, c, 8, 8)
+
+	a := c.Lease("w1", "")
+	s1 := testSnap(2, 2, 1000, [profile.NumComponents]int64{500, 100, 50, 25, 0, 0, 25, 0, 0})
+	occ := stats.NewHistogram(8)
+	for _, v := range []int{0, 1, 3, 3, 7, 12} {
+		occ.Add(v)
+	}
+	s1.Telemetry = &telemetry.Summary{
+		Events:    map[string]uint64{telemetry.EvSquash.String(): 4},
+		WindowOcc: occ, LSQOcc: occ.Clone(), IssueUse: occ.Clone(),
+	}
+	c.Heartbeat(Heartbeat{Lease: a.Lease, Worker: "w1", Cursor: 2, Runs: 2, Snapshot: s1,
+		Stats: &WorkerStats{RPCRetries: 3, TransportErrors: 2, HeartbeatErrors: 1}})
+	b := c.Lease("w2", "")
+	if b == nil || b.Start != 5 || b.End != 8 {
+		t.Fatalf("stolen lease = %+v, want [5,8)", b)
+	}
+	f1 := s1.Clone()
+	f1.Programs, f1.Runs, f1.Findings, f1.Insts = 5, 5, 1, 2500
+	if err := c.Complete(CellResult{Lease: a.Lease, Worker: "w1", Cursor: 5, Runs: 5,
+		Findings: []soak.Finding{finding(4)}, Snapshot: f1}); err != nil {
+		t.Fatal(err)
+	}
+	f2 := testSnap(3, 3, 3000, [profile.NumComponents]int64{1500, 300, 0, 0, 0, 0, 0, 100, 0})
+	if err := c.Complete(CellResult{Lease: b.Lease, Worker: "w2", Cursor: 8, Runs: 3,
+		Snapshot: f2}); err != nil {
+		t.Fatal(err)
+	}
+
+	c.SetRetryLimit(0)
+	soakJob(t, c, 2, 2)
+	x := c.Lease("w2", "")
+	if x == nil {
+		t.Fatal("no lease on the second job")
+	}
+	c.Fail(x.Lease, "w2", "boom")
+	return c
+}
+
+// TestPromTextGolden compares the /metrics scrape of a fixed fleet
+// state byte for byte with testdata/prom_golden.txt, so a change to
+// how the fleet view is assembled cannot move a series or a value.
+func TestPromTextGolden(t *testing.T) {
+	want, err := os.ReadFile(promGoldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := promFleet(t).PromText(); !bytes.Equal(got, want) {
+		t.Fatalf("/metrics differs from %s; computed:\n%s", promGoldenFile, got)
 	}
 }
 
