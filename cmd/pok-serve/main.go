@@ -8,7 +8,7 @@
 //	pok-serve -listen 127.0.0.1:8080 -journal dir    # crash-safe coordinator
 //	pok-serve -worker -coordinator http://host:8080  # attach a worker
 //	pok-serve -submit job.json -coordinator http://host:8080 -wait
-//	pok-serve -status -coordinator http://host:8080  # one-shot fleet snapshot
+//	pok-serve -status -coordinator http://host:8080  # one-shot fleet view
 //
 // With -journal the coordinator appends every state transition to a
 // write-ahead journal and replays it on startup, so a crashed (even
@@ -21,13 +21,14 @@
 //
 // Jobs are JSON JobSpecs (see internal/serve); existing campaigns
 // submit themselves with `pok-soak -submit` / `pok-bench -submit`
-// without a spec file. The dashboard at / renders the job wavefront,
-// per-worker throughput, streaming CPI-stack bars and the deduped
-// findings feed, and is self-contained — `curl http://host:8080/ -o
-// dashboard.html` archives a snapshot. The coordinator also serves
-// Prometheus-text metrics at /metrics (scrapeable with a stock
-// scrape_config, no extra deps) and the same aggregates as JSON at
-// /api/metrics.
+// without a spec file. The coordinator keeps one view of the fleet
+// (jobs with their wavefront, telemetry and deduped findings; workers;
+// the sample ring), served as JSON at /api/metrics — what -status
+// prints — and as Prometheus text at /metrics (scrapeable with a stock
+// scrape_config, no extra deps). The dashboard at / renders that view:
+// the job wavefront, per-worker throughput, streaming CPI-stack bars
+// and the deduped findings feed. It is self-contained — `curl
+// http://host:8080/ -o dashboard.html` archives a snapshot.
 package main
 
 import (
@@ -62,7 +63,7 @@ func main() {
 	chaosSeed := flag.Uint64("chaos-seed", 1, "worker: seed for -chaos fault pattern")
 	submit := flag.String("submit", "", "submit mode: path to a JobSpec JSON file (- for stdin)")
 	wait := flag.Bool("wait", true, "submit: wait for the job and print its result")
-	status := flag.Bool("status", false, "status mode: print the fleet snapshot and exit")
+	status := flag.Bool("status", false, "status mode: print the fleet view (the /api/metrics JSON) and exit")
 	withMetrics := flag.Bool("metrics", true, "worker: fold per-run telemetry into heartbeat snapshots for the coordinator's /metrics endpoint (never changes findings)")
 	quiet := flag.Bool("q", false, "suppress per-cell progress lines")
 	flag.Parse()
@@ -231,11 +232,11 @@ func runStatus(coordinator string) {
 	if coordinator == "" {
 		fatal(fmt.Errorf("-status needs -coordinator URL"))
 	}
-	st, err := serve.NewClient(coordinator).Status()
+	m, err := serve.NewClient(coordinator).Metrics()
 	if err != nil {
 		fatal(err)
 	}
-	blob, err := json.MarshalIndent(st, "", "  ")
+	blob, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		fatal(err)
 	}

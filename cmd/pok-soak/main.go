@@ -82,7 +82,6 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 25, "programs between checkpoint snapshots")
 	instCkpt := flag.Uint64("inst-ckpt", 0, "architectural checkpoint cadence in committed instructions inside every detection run (0 = program-boundary checkpoints only); makes SIGINT and -resume instruction-granular")
 	resume := flag.Bool("resume", false, "resume from the checkpoint file")
-	register := flag.Bool("register-workloads", false, "register generated programs as ad-hoc workloads")
 	submit := flag.String("submit", "", "submit the campaign to this pok-serve coordinator URL instead of running in-process")
 	cellPrograms := flag.Int("cell-programs", 0, "-submit: programs per fleet cell (0 = programs/8)")
 	withMetrics := flag.Bool("metrics", false, "write metrics-<seed>.json (CPI stacks, throughput) and print a campaign summary; never changes findings")
@@ -176,8 +175,7 @@ func main() {
 				LoopIters: *loopIters,
 				MaxInsts:  *genInsts,
 			},
-			RegisterWorkloads: *register,
-			CkptInsts:         *instCkpt,
+			CkptInsts: *instCkpt,
 		}
 		if hookOpts != nil {
 			opts.Hook = hookOpts

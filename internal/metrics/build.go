@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// BuildInfo is the provenance stamp attached to /api/status and the
+// BuildInfo is the provenance stamp attached to /api/metrics and the
 // pok-serve startup log, mirroring the BENCH_*.json provenance fields
 // so dashboard snapshots archived from CI are attributable to a
 // commit and toolchain.

@@ -152,8 +152,8 @@ func TestClientTypedErrors(t *testing.T) {
 
 // TestCoordinatorHammer races every coordinator RPC — lease,
 // heartbeat, steal (implicit in lease), complete, release, fail,
-// submit — from many goroutines against concurrent /api/status and
-// dashboard renders. It asserts nothing beyond "no panic, no deadlock,
+// submit — from many goroutines against concurrent /api/metrics,
+// /api/jobs/{id} and dashboard renders. It asserts nothing beyond "no panic, no deadlock,
 // every cell eventually terminal"; its real job is giving the race
 // detector surface area.
 func TestCoordinatorHammer(t *testing.T) {
@@ -216,10 +216,16 @@ func TestCoordinatorHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for time.Now().Before(deadline) {
-				resp, err := http.Get(srv.URL + "/api/status")
+				resp, err := http.Get(srv.URL + "/api/metrics")
 				if err == nil {
-					var st Status
-					_ = json.NewDecoder(resp.Body).Decode(&st)
+					var m FleetMetrics
+					_ = json.NewDecoder(resp.Body).Decode(&m)
+					resp.Body.Close()
+				}
+				resp, err = http.Get(srv.URL + "/api/jobs/" + id)
+				if err == nil {
+					var jm JobMetrics
+					_ = json.NewDecoder(resp.Body).Decode(&jm)
 					resp.Body.Close()
 				}
 				resp, err = http.Get(srv.URL + "/")
@@ -233,11 +239,11 @@ func TestCoordinatorHammer(t *testing.T) {
 	wg.Wait()
 
 	// Every cell must be in a coherent terminal or resumable state.
-	st := coord.Status()
-	if len(st.Jobs) != 1 {
-		t.Fatalf("status jobs = %d", len(st.Jobs))
+	m := coord.Metrics()
+	if len(m.Jobs) != 1 {
+		t.Fatalf("fleet view jobs = %d", len(m.Jobs))
 	}
-	for _, cs := range st.Jobs[0].Cells {
+	for _, cs := range m.Jobs[0].Cells {
 		if cs.Cursor < cs.Start || cs.Cursor > cs.End {
 			t.Fatalf("cell %d cursor %d outside [%d,%d]", cs.ID, cs.Cursor, cs.Start, cs.End)
 		}

@@ -253,13 +253,13 @@ func (c *Client) Submit(spec JobSpec) (string, error) {
 	return reply.ID, nil
 }
 
-// Job fetches one job's live status.
-func (c *Client) Job(id string) (*JobStatus, error) {
-	var js JobStatus
-	if err := c.call("GET", "/api/jobs/"+id, nil, &js); err != nil {
+// Job fetches one job's row of the fleet view.
+func (c *Client) Job(id string) (*JobMetrics, error) {
+	var jm JobMetrics
+	if err := c.call("GET", "/api/jobs/"+id, nil, &jm); err != nil {
 		return nil, err
 	}
-	return &js, nil
+	return &jm, nil
 }
 
 // Result fetches a completed job's merged result (an error while the
@@ -351,16 +351,7 @@ func (c *Client) Fail(lease, worker, msg string) error {
 		FailRequest{Lease: lease, Worker: worker, Error: msg}, nil)
 }
 
-// Status fetches the fleet snapshot.
-func (c *Client) Status() (*Status, error) {
-	var st Status
-	if err := c.call("GET", "/api/status", nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-// Metrics fetches the aggregated fleet observability snapshot.
+// Metrics fetches the fleet view.
 func (c *Client) Metrics() (*FleetMetrics, error) {
 	var m FleetMetrics
 	if err := c.call("GET", "/api/metrics", nil, &m); err != nil {

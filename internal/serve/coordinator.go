@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"pok/internal/metrics"
-	"pok/internal/sig"
 	"pok/internal/soak"
 )
 
@@ -61,7 +60,7 @@ type Coordinator struct {
 	journal    *Journal
 	journalErr error
 
-	// build is the provenance stamp surfaced on /api/status and
+	// build is the provenance stamp surfaced on /api/metrics and
 	// /metrics (SetBuild).
 	build metrics.BuildInfo
 	// samples is the bounded time-series ring behind the dashboard
@@ -108,7 +107,7 @@ func (c *Coordinator) SetRetryLimit(n int) {
 }
 
 // SetBuild stamps the coordinator's provenance (git SHA, go version),
-// surfaced on /api/status, /api/metrics and the pok_build_info series.
+// surfaced on /api/metrics and the pok_build_info series.
 func (c *Coordinator) SetBuild(b metrics.BuildInfo) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -739,84 +738,3 @@ func (c *Coordinator) Result(id string) (*JobResult, error) {
 		return &JobResult{Bench: rows}, nil
 	}
 }
-
-// Status snapshots the whole fleet for the dashboard and the status
-// endpoint.
-func (c *Coordinator) Status() *Status {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reap()
-	st := &Status{
-		LeaseTTLMillis: c.leaseTTL.Milliseconds(),
-		Draining:       c.draining,
-	}
-	if c.build != (metrics.BuildInfo{}) {
-		b := c.build
-		st.Build = &b
-	}
-	if c.journal != nil {
-		st.Journal = c.journal.Path()
-	}
-	if c.journalErr != nil {
-		st.JournalError = c.journalErr.Error()
-	}
-	st.QueueDepth = len(c.queue)
-	names := make([]string, 0, len(c.workers))
-	for n := range c.workers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		w := c.workers[n]
-		ws := WorkerStatus{
-			Name:           w.name,
-			LastSeenMillis: w.lastSeen.UnixMilli(),
-			Programs:       w.programs,
-			Findings:       w.findings,
-			Cells:          w.cells,
-			Stats:          w.stats,
-		}
-		if alive := w.lastSeen.Sub(w.firstSeen); alive > 0 {
-			ws.ProgramsPerSec = float64(w.programs) / alive.Seconds()
-		}
-		st.Workers = append(st.Workers, ws)
-	}
-	for _, id := range c.order {
-		j := c.jobs[id]
-		js := JobStatus{ID: j.id, Kind: j.spec.Kind, State: j.state(), Failed: j.failed}
-		var dedupe sig.Deduper
-		for _, cl := range j.cellsByStart() {
-			cursor := max(cl.cursor, cl.liveCursor)
-			cs := CellStatus{
-				ID: cl.id, Start: cl.start, End: cl.end, Cursor: cursor,
-				State: cl.state.String(), Worker: cl.worker,
-			}
-			known := cl.findings
-			if cl.state != cellDone {
-				known = append(append([]soak.Finding(nil), cl.baseFindings...), cl.liveFindings...)
-			}
-			cs.Findings = len(known)
-			for _, f := range known {
-				dedupe.Add(f.Signature())
-				if len(js.Feed) < feedLimit {
-					js.Feed = append(js.Feed, f)
-				}
-			}
-			js.Findings += len(known)
-			if cl.state == cellDone {
-				js.Runs += cl.runs
-			} else {
-				js.Runs += cl.baseRuns + cl.liveRuns
-			}
-			js.Programs += cl.end - cl.start
-			js.Done += cursor - cl.start
-			js.Cells = append(js.Cells, cs)
-		}
-		js.Deduped = dedupe.Classes()
-		st.Jobs = append(st.Jobs, js)
-	}
-	return st
-}
-
-// feedLimit bounds the findings feed per job in status snapshots.
-const feedLimit = 50

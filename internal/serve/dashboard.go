@@ -1,13 +1,13 @@
 package serve
 
 // dashboardHTML is the self-contained live dashboard served at "/":
-// no external assets, just a fetch loop over /api/status and
+// no external assets, just a fetch loop over the fleet view at
 // /api/metrics rendering the job wavefront (one block per cell,
 // colored by state, heat-tinted by recent progress), a streaming
 // CPI-stack bar per config, per-worker throughput sparklines and the
-// deduped findings feed. Fetches use cache:'no-cache' so the browser
-// revalidates with If-None-Match and idle fleets answer 304 from the
-// coordinator's ETag. A saved copy of the page (curl / >
+// deduped findings feed. The fetch uses cache:'no-cache' so the
+// browser revalidates with If-None-Match and idle fleets answer 304
+// from the coordinator's ETag. A saved copy of the page (curl / >
 // dashboard.html) remains a readable snapshot — CI archives one per
 // fleet run.
 const dashboardHTML = `<!doctype html>
@@ -97,11 +97,10 @@ function renderWorkers(ws, samples) {
           '<th>findings</th><th>retries</th><th>last seen</th></tr>';
   for (const w of ws) {
     const s = w.stats || {};
-    const m = w.metrics || {};
     const flaky = (s.rpc_retries || 0) + (s.heartbeat_errors || 0);
     h += '<tr><td>' + esc(w.name) + '</td><td>' + w.cells + '</td><td>' +
          w.programs + '</td><td>' + w.programs_per_sec.toFixed(2) + '</td><td>' +
-         (m.minst_per_sec ? m.minst_per_sec.toFixed(2) : '-') + '</td><td>' +
+         (w.minst_per_sec ? w.minst_per_sec.toFixed(2) : '-') + '</td><td>' +
          workerSpark(w.name, samples) + '</td><td>' +
          (w.findings ? '<span class="bad">' + w.findings + '</span>' : '0') +
          '</td><td' + (flaky ? '' : ' class="muted"') + '>' + (s.rpc_retries || 0) +
@@ -134,7 +133,7 @@ function renderCPIStacks(snap) {
   return h;
 }
 
-function renderJob(j, jm) {
+function renderJob(j) {
   let h = '<h3>' + esc(j.id) + ' <span class="muted">' + esc(j.kind) + '</span> ' +
           (j.state === 'done' ? '<span class="ok">done</span>' :
            j.state === 'failed' ? '<span class="bad">failed: ' + esc(j.failed || '') + '</span>' :
@@ -156,7 +155,7 @@ function renderJob(j, jm) {
          pct + '%"></div></div>';
   }
   h += '</div>';
-  if (jm && jm.snapshot) h += renderCPIStacks(jm.snapshot);
+  h += renderCPIStacks(j.snapshot);
   if (j.deduped && j.deduped.length) {
     h += '<table><tr><th>signature</th><th>count</th></tr>';
     for (const d of j.deduped) {
@@ -181,30 +180,21 @@ function renderJob(j, jm) {
 
 async function tick() {
   try {
-    const st = await (await fetch('/api/status', {cache: 'no-cache'})).json();
-    let mx = {};
-    try { mx = await (await fetch('/api/metrics', {cache: 'no-cache'})).json(); }
-    catch (e) { /* metrics endpoint optional for old coordinators */ }
+    const m = await (await fetch('/api/metrics', {cache: 'no-cache'})).json();
     document.getElementById('err').textContent =
-      st.journal_error ? 'journal error: ' + st.journal_error : '';
-    let badges = '';
-    if (st.journal_error) badges += '<span class="badge">journal error</span>';
-    document.getElementById('badges').innerHTML = badges;
+      m.journal_error ? 'journal error: ' + m.journal_error : '';
+    document.getElementById('badges').innerHTML =
+      m.journal_error ? '<span class="badge">journal error</span>' : '';
     document.getElementById('meta').textContent =
-      'queue ' + st.queue_depth + ' · lease ' + st.lease_ttl_ms + 'ms' +
-      (st.build ? ' · ' + (st.build.git_sha || '') + ' ' + (st.build.go_version || '') : '') +
-      (st.draining ? ' · DRAINING' : '');
-    const wmetrics = new Map((mx.workers || []).map(w => [w.name, w]));
-    for (const w of (st.workers || [])) w.metrics = wmetrics.get(w.name);
-    document.getElementById('workers').innerHTML =
-      renderWorkers(st.workers, mx.samples);
-    const jmetrics = new Map((mx.jobs || []).map(j => [j.id, j]));
+      'queue ' + m.queue_depth + ' · lease ' + m.lease_ttl_ms + 'ms' +
+      (m.build ? ' · ' + (m.build.git_sha || '') + ' ' + (m.build.go_version || '') : '') +
+      (m.draining ? ' · DRAINING' : '');
+    document.getElementById('workers').innerHTML = renderWorkers(m.workers, m.samples);
     document.getElementById('jobs').innerHTML =
-      (st.jobs && st.jobs.length) ?
-        st.jobs.map(j => renderJob(j, jmetrics.get(j.id))).join('')
+      (m.jobs && m.jobs.length) ? m.jobs.map(renderJob).join('')
         : '<span class="muted">none yet</span>';
   } catch (e) {
-    document.getElementById('err').textContent = 'status fetch failed: ' + e;
+    document.getElementById('err').textContent = 'fleet view fetch failed: ' + e;
   }
 }
 tick();

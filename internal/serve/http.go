@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"pok/internal/metrics"
-	"pok/internal/sig"
 	"pok/internal/soak"
 )
 
@@ -65,7 +64,7 @@ type LeaseRequest struct {
 // Heartbeat is a worker's progress report: Cursor is the next program
 // index not yet run, Findings/Runs are cumulative for this lease.
 // Stats, when present, is the worker's self-reported RPC accounting,
-// surfaced on /api/status.
+// surfaced on /api/metrics.
 type Heartbeat struct {
 	Lease    string         `json:"lease"`
 	Worker   string         `json:"worker"`
@@ -146,66 +145,6 @@ type FailRequest struct {
 	Error  string `json:"error"`
 }
 
-// Status is the fleet snapshot served at /api/status and rendered by
-// the dashboard.
-type Status struct {
-	LeaseTTLMillis int64 `json:"lease_ttl_ms"`
-	QueueDepth     int   `json:"queue_depth"`
-	Draining       bool  `json:"draining,omitempty"`
-	// Build is the coordinator's provenance stamp (git SHA + go
-	// version), mirroring the BENCH_*.json provenance fields so
-	// archived dashboard/status snapshots are attributable.
-	Build        *metrics.BuildInfo `json:"build,omitempty"`
-	Journal      string             `json:"journal,omitempty"`
-	JournalError string             `json:"journal_error,omitempty"`
-	Workers      []WorkerStatus     `json:"workers,omitempty"`
-	Jobs         []JobStatus        `json:"jobs,omitempty"`
-}
-
-// WorkerStatus is one worker's fleet-side accounting.
-type WorkerStatus struct {
-	Name string `json:"name"`
-	// LastSeenMillis is the wall-clock unix-ms of the worker's last
-	// RPC. A stable timestamp (not a render-time "idle for" delta)
-	// so identical fleet state serializes to identical bytes and the
-	// ETag/304 revalidation path stays live; viewers derive idleness
-	// client-side.
-	LastSeenMillis int64        `json:"last_seen_ms"`
-	Programs       int          `json:"programs"`
-	ProgramsPerSec float64      `json:"programs_per_sec"`
-	Findings       int          `json:"findings"`
-	Cells          int          `json:"cells"`
-	Stats          *WorkerStats `json:"stats,omitempty"`
-}
-
-// JobStatus is one job's live view: the cell wavefront, merged
-// progress counters, the deduped finding classes and a bounded
-// findings feed.
-type JobStatus struct {
-	ID       string         `json:"id"`
-	Kind     string         `json:"kind"`
-	State    string         `json:"state"`
-	Failed   string         `json:"failed,omitempty"`
-	Programs int            `json:"programs"`
-	Done     int            `json:"done"`
-	Runs     int            `json:"runs"`
-	Findings int            `json:"findings"`
-	Cells    []CellStatus   `json:"cells,omitempty"`
-	Deduped  []sig.Class    `json:"deduped,omitempty"`
-	Feed     []soak.Finding `json:"feed,omitempty"`
-}
-
-// CellStatus is one cell of the job wavefront.
-type CellStatus struct {
-	ID       int    `json:"id"`
-	Start    int    `json:"start"`
-	End      int    `json:"end"`
-	Cursor   int    `json:"cursor"`
-	State    string `json:"state"`
-	Worker   string `json:"worker,omitempty"`
-	Findings int    `json:"findings"`
-}
-
 // maxRequestBody caps every /api/* JSON request body. Heartbeats and
 // completions carry findings lists, which stay far below this even on
 // pathological campaigns; anything larger is a client bug or abuse.
@@ -214,21 +153,20 @@ const maxRequestBody = 32 << 20
 // Handler returns the coordinator's HTTP API plus the dashboard:
 //
 //	POST /api/jobs            submit a JobSpec           -> {"id": ...}
-//	GET  /api/jobs/{id}       job status                 -> JobStatus
+//	GET  /api/jobs/{id}       one job of the fleet view  -> JobMetrics
 //	GET  /api/jobs/{id}/result merged result (when done) -> JobResult
 //	POST /api/lease           LeaseRequest               -> Assignment | 204
 //	POST /api/heartbeat       Heartbeat                  -> HeartbeatReply
 //	POST /api/complete        CellResult                 -> {"ok": true}
 //	POST /api/release         ReleaseRequest             -> {"ok": true}
 //	POST /api/fail            FailRequest                -> {"ok": true}
-//	GET  /api/status          fleet snapshot             -> Status
-//	GET  /api/metrics         fleet metrics (JSON)       -> FleetMetrics
-//	GET  /metrics             Prometheus text exposition
+//	GET  /api/metrics         fleet view (JSON)          -> FleetMetrics
+//	GET  /metrics             Prometheus text exposition of the fleet view
 //	GET  /                    self-contained HTML dashboard
 //
-// /api/status, /api/metrics and /metrics are served with an ETag and
-// honour If-None-Match (304), so an idle fleet's dashboard refresh
-// loop stops re-downloading unchanged JSON.
+// /api/metrics and /metrics are served with an ETag and honour
+// If-None-Match (304), so an idle fleet's dashboard refresh loop stops
+// re-downloading unchanged JSON.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -246,15 +184,12 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("GET /api/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		st := c.Status()
-		for _, j := range st.Jobs {
-			if j.ID == id {
-				writeJSON(w, j)
-				return
-			}
+		jm, err := c.Job(r.PathValue("id"))
+		if err != nil {
+			httpError(w, http.StatusNotFound, err)
+			return
 		}
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
+		writeJSON(w, jm)
 	})
 
 	mux.HandleFunc("GET /api/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
@@ -315,10 +250,6 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		c.Fail(req.Lease, req.Worker, req.Error)
 		writeJSON(w, map[string]bool{"ok": true})
-	})
-
-	mux.HandleFunc("GET /api/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSONETag(w, r, c.Status())
 	})
 
 	mux.HandleFunc("GET /api/metrics", func(w http.ResponseWriter, r *http.Request) {

@@ -257,7 +257,7 @@ func tornTail(sc *bufio.Scanner) bool {
 // a live coordinator and one rebuilt from its journal cannot drift
 // apart. An append failure is remembered (JournalErr) but does not
 // block the fleet: the coordinator keeps serving from memory and the
-// operator sees the error on /api/status. Live callers validate
+// operator sees the error on /api/metrics. Live callers validate
 // before committing, so apply never rejects their records; its errors
 // guard replay of a damaged journal.
 func (c *Coordinator) commitLocked(rec journalRecord, sync bool) {

@@ -447,7 +447,7 @@ func TestJournalDrainTimeout(t *testing.T) {
 
 // TestJournalFaultPoint: an append failure (disk full, here the
 // FailAfter test hook) must not take the fleet down — the coordinator
-// keeps serving from memory and surfaces the error on /api/status.
+// keeps serving from memory and surfaces the error on /api/metrics.
 func TestJournalFaultPoint(t *testing.T) {
 	dir := t.TempDir()
 	c, _ := testCoordinator(time.Minute)
@@ -465,8 +465,8 @@ func TestJournalFaultPoint(t *testing.T) {
 	if err := c.JournalErr(); err == nil {
 		t.Fatal("journal fault not recorded")
 	}
-	if st := c.Status(); st.JournalError == "" {
-		t.Fatal("journal fault not surfaced on status")
+	if m := c.Metrics(); m.JournalError == "" {
+		t.Fatal("journal fault not surfaced on the fleet view")
 	}
 }
 

@@ -1,48 +1,70 @@
 package serve
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"pok/internal/metrics"
 	"pok/internal/profile"
+	"pok/internal/sig"
+	"pok/internal/soak"
 	"pok/internal/stats"
 )
 
-// FleetMetrics is the coordinator's aggregated observability snapshot,
-// served as JSON at /api/metrics and rendered as Prometheus text at
-// /metrics. Cardinality is bounded by construction: jobs × configs ×
-// NumComponents CPI series, one row per worker, and a fixed-capacity
-// sample ring.
+// FleetMetrics is the coordinator's one view of the fleet: jobs with
+// their cell wavefronts, merged telemetry and deduped findings,
+// workers with their throughput and RPC health, and the sample ring.
+// It is served as JSON at /api/metrics (the dashboard's only source)
+// and rendered as Prometheus text at /metrics. Cardinality is bounded
+// by construction: jobs × configs × NumComponents CPI series, one row
+// per worker, feedLimit findings per job and a fixed-capacity sample
+// ring.
 type FleetMetrics struct {
-	Build        *metrics.BuildInfo `json:"build,omitempty"`
-	QueueDepth   int                `json:"queue_depth"`
-	Draining     bool               `json:"draining,omitempty"`
-	JournalError string             `json:"journal_error,omitempty"`
-	Jobs         []JobMetrics       `json:"jobs,omitempty"`
-	Workers      []WorkerMetrics    `json:"workers,omitempty"`
+	// Build is the coordinator's provenance stamp (git SHA + go
+	// version), so archived fleet views are attributable.
+	Build          *metrics.BuildInfo `json:"build,omitempty"`
+	LeaseTTLMillis int64              `json:"lease_ttl_ms"`
+	QueueDepth     int                `json:"queue_depth"`
+	Draining       bool               `json:"draining,omitempty"`
+	Journal        string             `json:"journal,omitempty"`
+	JournalError   string             `json:"journal_error,omitempty"`
+	Jobs           []JobMetrics       `json:"jobs,omitempty"`
+	Workers        []WorkerMetrics    `json:"workers,omitempty"`
 	// Samples is the bounded time-series ring (oldest first): one entry
 	// per snapshot-carrying progress event. The dashboard derives the
-	// per-worker throughput sparklines and the wavefront heat-strip
-	// from consecutive deltas.
+	// per-worker throughput sparklines from consecutive deltas.
 	Samples []MetricsSample `json:"samples,omitempty"`
 }
 
-// JobMetrics is one job's merged telemetry: the fold of every cell's
-// snapshot (committed base + live lease + final outcomes).
+// JobMetrics is one job's live view: the cell wavefront, progress
+// counters, the fold of every cell's telemetry snapshot (committed
+// base + live lease + final outcomes), the deduped finding classes and
+// a bounded findings feed. GET /api/jobs/{id} serves the same row.
 type JobMetrics struct {
 	ID       string `json:"id"`
 	Kind     string `json:"kind"`
 	State    string `json:"state"`
+	Failed   string `json:"failed,omitempty"`
 	Programs int    `json:"programs"`
 	Done     int    `json:"done"`
+	Runs     int    `json:"runs"`
+	Findings int    `json:"findings"`
 	// Snapshot is the job-wide merged accumulator; its per-config CPI
 	// stacks keep the sum-equals-cycles invariant under merge.
 	Snapshot *metrics.Snapshot `json:"snapshot,omitempty"`
 	Cells    []CellMetrics     `json:"cells,omitempty"`
+	Deduped  []sig.Class       `json:"deduped,omitempty"`
+	Feed     []soak.Finding    `json:"feed,omitempty"`
 }
 
-// CellMetrics is one cell's compact telemetry row (the heat-strip and
-// per-cell drill-down; full stacks live on the job snapshot).
+// feedLimit bounds the findings feed per job.
+const feedLimit = 50
+
+// CellMetrics is one cell of the job wavefront: its range, cursor and
+// lease, the runs and findings the coordinator holds for it, and its
+// telemetry throughput counters (full stacks live on the job
+// snapshot).
 type CellMetrics struct {
 	ID        int    `json:"id"`
 	Start     int    `json:"start"`
@@ -50,7 +72,6 @@ type CellMetrics struct {
 	Cursor    int    `json:"cursor"`
 	State     string `json:"state"`
 	Worker    string `json:"worker,omitempty"`
-	Programs  int    `json:"programs"`
 	Runs      int    `json:"runs"`
 	Findings  int    `json:"findings"`
 	Insts     uint64 `json:"insts,omitempty"`
@@ -58,23 +79,23 @@ type CellMetrics struct {
 	WallNanos int64  `json:"wall_nanos,omitempty"`
 }
 
-// WorkerMetrics is one worker's cumulative throughput and RPC health.
-// LastSeenMillis mirrors WorkerStatus: a stable heartbeat timestamp
-// rather than a render-time delta, so the payload — and its ETag —
-// only changes when fleet state does.
+// WorkerMetrics is one worker's fleet-side accounting, cumulative
+// throughput and self-reported RPC health (Stats). LastSeenMillis is
+// the unix-ms of the worker's last RPC: a stable timestamp rather than
+// a render-time "idle for" delta, so the payload — and its ETag — only
+// changes when fleet state does; viewers derive idleness client-side.
 type WorkerMetrics struct {
-	Name            string  `json:"name"`
-	LastSeenMillis  int64   `json:"last_seen_ms"`
-	Cells           int     `json:"cells"`
-	Programs        int     `json:"programs"`
-	Findings        int     `json:"findings"`
-	Insts           uint64  `json:"insts,omitempty"`
-	Cycles          int64   `json:"cycles,omitempty"`
-	WallNanos       int64   `json:"wall_nanos,omitempty"`
-	MinstPerSec     float64 `json:"minst_per_sec,omitempty"`
-	RPCRetries      int64   `json:"rpc_retries,omitempty"`
-	TransportErrors int64   `json:"transport_errors,omitempty"`
-	HeartbeatErrors int64   `json:"heartbeat_errors,omitempty"`
+	Name           string       `json:"name"`
+	LastSeenMillis int64        `json:"last_seen_ms"`
+	Cells          int          `json:"cells"`
+	Programs       int          `json:"programs"`
+	ProgramsPerSec float64      `json:"programs_per_sec"`
+	Findings       int          `json:"findings"`
+	Insts          uint64       `json:"insts,omitempty"`
+	Cycles         int64        `json:"cycles,omitempty"`
+	WallNanos      int64        `json:"wall_nanos,omitempty"`
+	MinstPerSec    float64      `json:"minst_per_sec,omitempty"`
+	Stats          *WorkerStats `json:"stats,omitempty"`
 }
 
 // MetricsSample is one entry of the coordinator's time-series ring: a
@@ -94,45 +115,28 @@ type MetricsSample struct {
 	Findings  int    `json:"findings,omitempty"`
 }
 
-// Metrics assembles the fleet-wide observability snapshot.
+// Metrics assembles the fleet view.
 func (c *Coordinator) Metrics() *FleetMetrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reap()
-	m := &FleetMetrics{Draining: c.draining}
+	m := &FleetMetrics{
+		LeaseTTLMillis: c.leaseTTL.Milliseconds(),
+		QueueDepth:     len(c.queue),
+		Draining:       c.draining,
+	}
 	if c.build != (metrics.BuildInfo{}) {
 		b := c.build
 		m.Build = &b
 	}
+	if c.journal != nil {
+		m.Journal = c.journal.Path()
+	}
 	if c.journalErr != nil {
 		m.JournalError = c.journalErr.Error()
 	}
-	m.QueueDepth = len(c.queue)
-
 	for _, id := range c.order {
-		j := c.jobs[id]
-		jm := JobMetrics{ID: j.id, Kind: j.spec.Kind, State: j.state()}
-		var acc *metrics.Snapshot
-		for _, cl := range j.cellsByStart() {
-			cursor := max(cl.cursor, cl.liveCursor)
-			cm := CellMetrics{
-				ID: cl.id, Start: cl.start, End: cl.end, Cursor: cursor,
-				State: cl.state.String(), Worker: cl.worker,
-			}
-			if s := cellSnapLocked(cl); s != nil {
-				cm.Programs, cm.Runs, cm.Findings = s.Programs, s.Runs, s.Findings
-				cm.Insts, cm.Cycles, cm.WallNanos = s.Insts, s.Cycles, s.WallNanos
-				if acc == nil {
-					acc = &metrics.Snapshot{}
-				}
-				acc.Merge(s)
-			}
-			jm.Programs += cl.end - cl.start
-			jm.Done += cursor - cl.start
-			jm.Cells = append(jm.Cells, cm)
-		}
-		jm.Snapshot = acc
-		m.Jobs = append(m.Jobs, jm)
+		m.Jobs = append(m.Jobs, jobMetricsLocked(c.jobs[id]))
 	}
 
 	names := make([]string, 0, len(c.workers))
@@ -151,20 +155,71 @@ func (c *Coordinator) Metrics() *FleetMetrics {
 			Insts:          w.insts,
 			Cycles:         w.cycles,
 			WallNanos:      w.wallNanos,
+			Stats:          w.stats,
+		}
+		if alive := w.lastSeen.Sub(w.firstSeen); alive > 0 {
+			wm.ProgramsPerSec = float64(w.programs) / alive.Seconds()
 		}
 		if w.wallNanos > 0 {
 			wm.MinstPerSec = float64(w.insts) / (float64(w.wallNanos) / 1e9) / 1e6
-		}
-		if w.stats != nil {
-			wm.RPCRetries = w.stats.RPCRetries
-			wm.TransportErrors = w.stats.TransportErrors
-			wm.HeartbeatErrors = w.stats.HeartbeatErrors
 		}
 		m.Workers = append(m.Workers, wm)
 	}
 
 	m.Samples = append([]MetricsSample(nil), c.samples...)
 	return m
+}
+
+// Job returns one job's row of the fleet view.
+func (c *Coordinator) Job(id string) (*JobMetrics, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.reap()
+	j, ok := c.jobs[id]
+	if !ok {
+		return nil, fmt.Errorf("serve: unknown job %q", id)
+	}
+	jm := jobMetricsLocked(j)
+	return &jm, nil
+}
+
+// jobMetricsLocked builds one job's row of the fleet view.
+func jobMetricsLocked(j *job) JobMetrics {
+	jm := JobMetrics{ID: j.id, Kind: j.spec.Kind, State: j.state(), Failed: j.failed}
+	var dedupe sig.Deduper
+	for _, cl := range j.cellsByStart() {
+		cursor := max(cl.cursor, cl.liveCursor)
+		runs, known := cl.runs, cl.findings
+		if cl.state != cellDone {
+			runs = cl.baseRuns + cl.liveRuns
+			known = slices.Concat(cl.baseFindings, cl.liveFindings)
+		}
+		cm := CellMetrics{
+			ID: cl.id, Start: cl.start, End: cl.end, Cursor: cursor,
+			State: cl.state.String(), Worker: cl.worker,
+			Runs: runs, Findings: len(known),
+		}
+		for _, f := range known {
+			dedupe.Add(f.Signature())
+			if len(jm.Feed) < feedLimit {
+				jm.Feed = append(jm.Feed, f)
+			}
+		}
+		if s := cellSnapLocked(cl); s != nil {
+			cm.Insts, cm.Cycles, cm.WallNanos = s.Insts, s.Cycles, s.WallNanos
+			if jm.Snapshot == nil {
+				jm.Snapshot = &metrics.Snapshot{}
+			}
+			jm.Snapshot.Merge(s)
+		}
+		jm.Programs += cl.end - cl.start
+		jm.Done += cursor - cl.start
+		jm.Runs += runs
+		jm.Findings += len(known)
+		jm.Cells = append(jm.Cells, cm)
+	}
+	jm.Deduped = dedupe.Classes()
+	return jm
 }
 
 // occupancyLes are the histogram bucket upper bounds the Prometheus
@@ -255,9 +310,13 @@ func renderProm(m *FleetMetrics) []byte {
 		p.Counter("pok_worker_wall_seconds_total", "Wall seconds spent in detection runs.", wl, float64(w.WallNanos)/1e9)
 		p.Gauge("pok_worker_minst_per_sec", "Blended throughput: committed Minst per wall second.", wl, w.MinstPerSec)
 		p.Counter("pok_worker_findings_total", "Findings reported by worker.", wl, float64(w.Findings))
-		p.Counter("pok_worker_rpc_retries_total", "Coordinator RPC retries (worker self-reported).", wl, float64(w.RPCRetries))
-		p.Counter("pok_worker_transport_errors_total", "Coordinator RPC transport errors (worker self-reported).", wl, float64(w.TransportErrors))
-		p.Counter("pok_worker_heartbeat_errors_total", "Failed heartbeats (worker self-reported).", wl, float64(w.HeartbeatErrors))
+		var st WorkerStats
+		if w.Stats != nil {
+			st = *w.Stats
+		}
+		p.Counter("pok_worker_rpc_retries_total", "Coordinator RPC retries (worker self-reported).", wl, float64(st.RPCRetries))
+		p.Counter("pok_worker_transport_errors_total", "Coordinator RPC transport errors (worker self-reported).", wl, float64(st.TransportErrors))
+		p.Counter("pok_worker_heartbeat_errors_total", "Failed heartbeats (worker self-reported).", wl, float64(st.HeartbeatErrors))
 	}
 	return p.Render()
 }

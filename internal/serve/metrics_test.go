@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -96,6 +97,18 @@ func TestFleetMetricsAggregation(t *testing.T) {
 		t.Fatalf("jobs = %+v, want just %s", m.Jobs, id)
 	}
 	job := m.Jobs[0]
+	if job.State != "done" || job.Runs != 4 || job.Findings != 1 || len(job.Feed) != 1 ||
+		len(job.Deduped) != 1 || job.Deduped[0].Count != 1 {
+		t.Fatalf("job %s: state %q runs %d findings %d feed %d deduped %+v, want done/4/1/1/one class",
+			id, job.State, job.Runs, job.Findings, len(job.Feed), job.Deduped)
+	}
+	// GET /api/jobs/{id} serves the same row.
+	if one, err := c.Job(id); err != nil || !reflect.DeepEqual(*one, job) {
+		t.Fatalf("Job(%s) = %+v, %v; want the fleet view's row %+v", id, one, err, job)
+	}
+	if _, err := c.Job("job-404"); err == nil {
+		t.Fatal("Job found an unknown id")
+	}
 	snap := job.Snapshot
 	if snap == nil {
 		t.Fatal("job has no merged snapshot")
@@ -281,8 +294,8 @@ func TestMetricsJournalReplay(t *testing.T) {
 	}
 }
 
-// TestStatusAndMetricsETags: /api/status, /api/metrics and /metrics
-// answer 304 to a matching If-None-Match and invalidate the ETag when
+// TestStatusAndMetricsETags: the fleet view's two renderings,
+// /api/metrics and /metrics, answer 304 to a matching If-None-Match and invalidate the ETag when
 // fleet state changes.
 func TestStatusAndMetricsETags(t *testing.T) {
 	c, _ := testCoordinator(time.Minute)
@@ -304,7 +317,7 @@ func TestStatusAndMetricsETags(t *testing.T) {
 		return resp, resp.Header.Get("ETag")
 	}
 
-	for _, path := range []string{"/api/status", "/api/metrics", "/metrics"} {
+	for _, path := range []string{"/api/metrics", "/metrics"} {
 		resp, etag := get(path, "")
 		if resp.StatusCode != 200 || etag == "" {
 			t.Fatalf("GET %s: status %d etag %q, want 200 + etag", path, resp.StatusCode, etag)

@@ -127,15 +127,14 @@ func TestResumeCursorStaleProgramIgnored(t *testing.T) {
 }
 
 // TestSoakCkptErrsOnStatus: the worker's checkpoint-failure counter
-// rides the heartbeat stats through to /api/status.
+// rides the heartbeat stats through to /api/metrics.
 func TestSoakCkptErrsOnStatus(t *testing.T) {
 	c, _ := testCoordinator(time.Second)
 	instCkptJob(t, c, 4)
 	a := c.Lease("w1", "")
 	c.Heartbeat(Heartbeat{Lease: a.Lease, Worker: "w1", Cursor: 1, Runs: 1,
 		Stats: &WorkerStats{SoakCkptErrs: 3}})
-	st := c.Status()
-	for _, w := range st.Workers {
+	for _, w := range c.Metrics().Workers {
 		if w.Name == "w1" {
 			if w.Stats == nil || w.Stats.SoakCkptErrs != 3 {
 				t.Fatalf("worker stats lost SoakCkptErrs: %+v", w.Stats)
@@ -143,7 +142,7 @@ func TestSoakCkptErrsOnStatus(t *testing.T) {
 			return
 		}
 	}
-	t.Fatal("worker w1 not on status")
+	t.Fatal("worker w1 not on the fleet view")
 }
 
 // TestFleetMidProgramReleaseEquivalence: a lease drain-stopped inside

@@ -274,8 +274,8 @@ func TestFailedJobStopsLeasing(t *testing.T) {
 	if a := c.Lease("w", ""); a != nil {
 		t.Fatalf("leased a cell of a failed job: %+v", a)
 	}
-	if st := c.Status(); st.QueueDepth != 0 {
-		t.Fatalf("failed job left %d queued cells", st.QueueDepth)
+	if m := c.Metrics(); m.QueueDepth != 0 {
+		t.Fatalf("failed job left %d queued cells", m.QueueDepth)
 	}
 }
 

@@ -67,7 +67,7 @@ type Worker struct {
 }
 
 // statsSnapshot assembles the worker's self-reported robustness
-// counters (attached to heartbeats, surfaced on /api/status).
+// counters (attached to heartbeats, surfaced on /api/metrics).
 func (w *Worker) statsSnapshot() *WorkerStats {
 	return &WorkerStats{
 		RPCRetries:      w.Client.Stats.Retries.Load(),

@@ -27,7 +27,6 @@ import (
 	"pok/internal/core"
 	"pok/internal/gen"
 	"pok/internal/metrics"
-	"pok/internal/workload"
 )
 
 // Options configures one soak campaign.
@@ -133,10 +132,6 @@ type Options struct {
 	// Gen shapes the generated programs; Seed is overridden per
 	// program.
 	Gen gen.Options
-	// RegisterWorkloads registers each generated program as an ad-hoc
-	// workload (workload.RegisterAdHoc) so downstream tools can address
-	// it by name ("gen-p<index>").
-	RegisterWorkloads bool
 	// Log receives one progress line per program (nil = quiet).
 	Log io.Writer
 	// Progress, when non-nil, is called after every completed program
@@ -372,11 +367,6 @@ func Run(opts Options, resume bool) (*Report, error) {
 			})
 			idx++
 			continue
-		}
-		if opts.RegisterWorkloads {
-			w := workload.NewAdHoc(fmt.Sprintf("gen-p%d", idx),
-				fmt.Sprintf("generated program (seed %#x)", seed), prog.Source())
-			_ = workload.RegisterAdHoc(w) // duplicate on resume is fine
 		}
 
 		// One assembly serves the program's whole cell matrix (the

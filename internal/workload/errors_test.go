@@ -41,38 +41,3 @@ func TestMustGetPanicListsNames(t *testing.T) {
 	}()
 	MustGet("no-such-bench")
 }
-
-// TestAdHocRegistration: generated programs register as first-class
-// workloads, show up in Names, and compute an emulator reference. The
-// registry entry is removed afterwards so the paper-table tests stay
-// order-independent.
-func TestAdHocRegistration(t *testing.T) {
-	const name = "adhoc-test-prog"
-	src := "main:\n\tli $v0, 1\n\tli $a0, 42\n\tsyscall\n\tli $v0, 10\n\tsyscall\n"
-	w := NewAdHoc(name, "test program", src)
-	if err := RegisterAdHoc(w); err != nil {
-		t.Fatal(err)
-	}
-	defer delete(registry, name)
-
-	if err := RegisterAdHoc(w); err == nil {
-		t.Fatal("duplicate ad-hoc registration accepted")
-	}
-	got, err := Get(name)
-	if err != nil || got != w {
-		t.Fatalf("Get(%s) = %v, %v", name, got, err)
-	}
-	found := false
-	for _, n := range Names() {
-		found = found || n == name
-	}
-	if !found {
-		t.Fatalf("Names() does not list %s: %v", name, Names())
-	}
-	if ref := w.Reference(1); !strings.Contains(ref, "42") {
-		t.Fatalf("ad-hoc reference = %q, want it to contain 42", ref)
-	}
-	if RegisterAdHoc(nil) == nil || RegisterAdHoc(&Workload{}) == nil {
-		t.Fatal("nil/unnamed ad-hoc registration accepted")
-	}
-}

@@ -126,48 +126,6 @@ func MustGet(name string) *Workload {
 	return w
 }
 
-// NewAdHoc wraps a fixed assembly source as a Workload — the shape the
-// soak harness uses to treat generated programs as first-class
-// benchmarks. The reference output is computed by the functional
-// emulator (bounded at adHocRefBudget instructions), so Source/
-// Reference keep the same contract as the hand-written kernels.
-func NewAdHoc(name, description, source string) *Workload {
-	return &Workload{
-		Name:         name,
-		Paper:        "generated",
-		Description:  description,
-		DefaultScale: 1,
-		source:       func(int) string { return source },
-		reference: func(int) string {
-			prog, err := asm.Assemble(source)
-			if err != nil {
-				return ""
-			}
-			e := emu.New(prog)
-			_, _ = e.Run(adHocRefBudget, nil)
-			return e.Output()
-		},
-	}
-}
-
-// adHocRefBudget bounds the reference execution of ad-hoc workloads
-// (generated programs terminate well under this by construction).
-const adHocRefBudget = 10_000_000
-
-// RegisterAdHoc adds w to the registry so Get, MustGet and Names find
-// it. Unlike package-init registration, a duplicate name is returned as
-// an error to the caller.
-func RegisterAdHoc(w *Workload) error {
-	if w == nil || w.Name == "" {
-		return errors.New("workload: ad-hoc registration needs a name")
-	}
-	if _, dup := registry[w.Name]; dup {
-		return fmt.Errorf("workload: duplicate %s", w.Name)
-	}
-	registry[w.Name] = w
-	return nil
-}
-
 // Source returns the assembly source at the given scale (outer iteration
 // count). Scale must be positive.
 func (w *Workload) Source(scale int) string {

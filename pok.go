@@ -23,8 +23,11 @@
 //     evaluation (internal/exp).
 //
 // The exported API of this package is a thin facade over those layers:
-// assemble programs, pick a machine configuration, simulate, and run the
-// paper's experiments.
+// assemble programs, pick a machine configuration, simulate, run the
+// paper's experiments, and attach telemetry, cycle accounting and the
+// lockstep checker. The random-program soak (internal/gen, soak) and
+// the distributed fleet (internal/serve, metrics) are driven through
+// their CLIs, cmd/pok-soak and cmd/pok-serve, and are not re-exported.
 package pok
 
 import (
@@ -32,15 +35,10 @@ import (
 	"pok/internal/cc"
 	"pok/internal/check"
 	"pok/internal/check/inject"
-	"pok/internal/check/reduce"
 	"pok/internal/core"
 	"pok/internal/emu"
 	"pok/internal/exp"
-	"pok/internal/gen"
-	"pok/internal/metrics"
 	"pok/internal/profile"
-	"pok/internal/serve"
-	"pok/internal/sig"
 	"pok/internal/soak"
 	"pok/internal/telemetry"
 	"pok/internal/workload"
@@ -306,130 +304,9 @@ var (
 	ErrDeadlock = core.ErrDeadlock
 )
 
-// Soak testing: the seeded random-program generator, the ddmin
-// delta-debugging reducer and the differential soak harness of
-// internal/gen, internal/check/reduce and internal/soak (CLI:
-// cmd/pok-soak). See DESIGN.md, "Soak testing & reduction".
-type (
-	// GenOptions seeds and shapes one generated program.
-	GenOptions = gen.Options
-	// GenMix weights the generator's fragment kinds.
-	GenMix = gen.Mix
-	// GenProgram is one generated (prologue, body, epilogue) program.
-	GenProgram = gen.Program
-	// SoakOptions configures one soak campaign.
-	SoakOptions = soak.Options
-	// SoakReport is the machine-readable outcome of a soak campaign.
-	SoakReport = soak.Report
-	// SoakFinding is one failure the soak attributed to its seed cell.
-	SoakFinding = soak.Finding
-	// SoakCheckpoint is the resumable frontier of a soak campaign.
-	SoakCheckpoint = soak.Checkpoint
-	// ReproBundle is a self-contained minimized failure reproducer.
-	ReproBundle = soak.Bundle
-	// ReduceOutcome classifies one candidate run during reduction.
-	ReduceOutcome = reduce.Outcome
-)
-
-// Distributed fleet: the coordinator/worker scaling layer of
-// internal/serve (CLI: cmd/pok-serve; pok-soak and pok-bench submit
-// with -submit). Failure signatures (internal/sig) are the shared
-// dedupe key of the reducer, the soak harness and the fleet. See
-// DESIGN.md, "Distributed simulation".
-type (
-	// FleetJobSpec is a job submitted to a fleet coordinator.
-	FleetJobSpec = serve.JobSpec
-	// FleetSoakSpec is a soak campaign as a fleet job.
-	FleetSoakSpec = serve.SoakSpec
-	// FleetBenchSpec is a benchmark sweep as a fleet job.
-	FleetBenchSpec = serve.BenchSpec
-	// FleetJobResult is a completed fleet job's merged outcome.
-	FleetJobResult = serve.JobResult
-	// FleetCoordinator owns fleet state and serves the HTTP job API.
-	FleetCoordinator = serve.Coordinator
-	// FleetWorker pulls and executes cells from a coordinator.
-	FleetWorker = serve.Worker
-	// FleetClient talks to a coordinator's HTTP API.
-	FleetClient = serve.Client
-	// FleetJournal is the coordinator's crash-recovery write-ahead log.
-	FleetJournal = serve.Journal
-	// FleetReplayStats summarizes a journal replay on coordinator start.
-	FleetReplayStats = serve.ReplayStats
-	// FleetWorkerStats is a worker's self-reported RPC/retry counters.
-	FleetWorkerStats = serve.WorkerStats
-	// FleetReleaseRequest hands a lease back on graceful worker drain.
-	FleetReleaseRequest = serve.ReleaseRequest
-	// FleetTransportError wraps a network-level RPC failure (retryable).
-	FleetTransportError = serve.TransportError
-	// FleetStatusError is a non-2xx coordinator reply with its body.
-	FleetStatusError = serve.StatusError
-	// FleetChaosTransport is the seeded fault-injecting RoundTripper.
-	FleetChaosTransport = serve.ChaosTransport
-	// FailureSignature is the (kind, field) dedupe key of a finding.
-	FailureSignature = sig.Signature
-	// FailureClass is one deduplicated signature with its count.
-	FailureClass = sig.Class
-)
-
-// Fleet observability: mergeable telemetry snapshots flow worker →
-// coordinator and surface as Prometheus text (/metrics), JSON
-// (/api/metrics) and the live dashboard. See DESIGN.md, "Fleet
-// observability".
-type (
-	// MetricsSnapshot is the mergeable unit of fleet telemetry (CPI
-	// stacks, occupancy histograms, throughput, RPC health).
-	MetricsSnapshot = metrics.Snapshot
-	// MetricsBuildInfo is build provenance (git SHA, go version).
-	MetricsBuildInfo = metrics.BuildInfo
-	// MetricsProm builds Prometheus text-exposition payloads.
-	MetricsProm = metrics.Prom
-	// FleetMetrics is the coordinator's aggregated observability view.
-	FleetMetrics = serve.FleetMetrics
-	// FleetJobMetrics is one job's merged telemetry.
-	FleetJobMetrics = serve.JobMetrics
-	// FleetWorkerMetrics is one worker's throughput and RPC health.
-	FleetWorkerMetrics = serve.WorkerMetrics
-	// FleetMetricsSample is one entry of the bounded time-series ring.
-	FleetMetricsSample = serve.MetricsSample
-)
-
-var (
-	// DetectBuild resolves build provenance from the binary/git.
-	DetectBuild = metrics.DetectBuild
-	// NewProm returns an empty Prometheus text-payload builder.
-	NewProm = metrics.NewProm
-)
-
-var (
-	// NewFleetCoordinator builds a coordinator with the given lease TTL.
-	NewFleetCoordinator = serve.NewCoordinator
-	// NewFleetClient builds a client for the coordinator at a base URL.
-	NewFleetClient = serve.NewClient
-	// OpenFleetJournal opens (or creates) a coordinator journal dir.
-	OpenFleetJournal = serve.OpenJournal
-	// ParseFleetChaosSpec parses "drop=..,dup=..,err=..,delay=.." specs.
-	ParseFleetChaosSpec = serve.ParseChaosSpec
-	// FleetRetryable reports whether a client RPC error is transient.
-	FleetRetryable = serve.Retryable
-)
-
-var (
-	// Generate builds the deterministic random program selected by its
-	// options.
-	Generate = gen.New
-	// GenProgramSeed derives the seed of the idx-th program of a soak.
-	GenProgramSeed = gen.ProgramSeed
-	// Soak runs a differential soak campaign (resume=true continues
-	// from the options' checkpoint file).
-	Soak = soak.Run
-	// ReplayBundle re-runs a repro bundle under the lockstep checker.
-	ReplayBundle = soak.ReplayBundle
-	// DDMin minimizes a failing line sequence (ddmin delta debugging).
-	DDMin = reduce.DDMin
-	// ErrUnknownWorkload identifies a benchmark-name lookup miss via
-	// errors.Is; the error message lists the available names.
-	ErrUnknownWorkload = workload.ErrUnknownWorkload
-)
+// ErrUnknownWorkload identifies a benchmark-name lookup miss via
+// errors.Is; the error message lists the available names.
+var ErrUnknownWorkload = workload.ErrUnknownWorkload
 
 // ProfileBenchmark returns the dynamic instruction mix of the named
 // benchmark over maxInsts instructions.

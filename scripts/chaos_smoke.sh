@@ -19,7 +19,7 @@
 #
 # Artifacts land under $OUT (default chaos-out): solo and fleet
 # findings JSON, both coordinator logs, worker logs, the journal, and
-# a dashboard.html + status.json snapshot.
+# a dashboard.html + metrics.json snapshot of the fleet view.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,10 +52,10 @@ start_coordinator() { # $1 = log file
   COORD=$!
   pids+=($COORD)
   for _ in $(seq 50); do
-    curl -fsS "$URL/api/status" >/dev/null 2>&1 && break
+    curl -fsS "$URL/api/metrics" >/dev/null 2>&1 && break
     sleep 0.2
   done
-  curl -fsS "$URL/api/status" >/dev/null
+  curl -fsS "$URL/api/metrics" >/dev/null
 }
 
 start_coordinator "$OUT/coordinator-1.log"
@@ -87,7 +87,7 @@ SUBMIT=$!
 # shutdown marker, page cache only. The journal must carry everything.
 done_count=0
 for _ in $(seq 300); do
-  done_count=$(curl -fsS "$URL/api/status" 2>/dev/null \
+  done_count=$(curl -fsS "$URL/api/metrics" 2>/dev/null \
     | grep -o '"done": [0-9]*' | head -1 | grep -o '[0-9]*$' || echo 0)
   [ "${done_count:-0}" -ge 1 ] && break
   sleep 0.2
@@ -119,9 +119,9 @@ if [ "$rc" -ne 1 ]; then
   exit 1
 fi
 
-# Archive the dashboard and the final fleet snapshot.
+# Archive the dashboard and the final fleet view.
 curl -fsS "$URL/" -o "$OUT/dashboard.html"
-curl -fsS "$URL/api/status" -o "$OUT/status.json"
+curl -fsS "$URL/api/metrics" -o "$OUT/metrics.json"
 
 for f in findings-7.json deduped-7.json; do
   if ! diff -u "$OUT/solo/$f" "$OUT/fleet/$f"; then

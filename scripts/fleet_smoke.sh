@@ -11,9 +11,12 @@
 #
 # Artifacts land under $OUT (default fleet-out): the solo and fleet
 # findings JSON, repro bundles, coordinator/worker logs, a
-# dashboard.html + status.json snapshot of the coordinator UI, and a
-# mid-campaign metrics.prom Prometheus scrape that must carry the
-# per-job CPI-stack, worker-throughput and RPC-health series.
+# dashboard.html + metrics.json snapshot of the coordinator's fleet
+# view, and a mid-campaign metrics.prom Prometheus scrape that must
+# carry the per-job CPI-stack, worker-throughput and RPC-health series.
+# The final fleet view must carry both halves the dashboard renders: the
+# corrupt job done with its deduped finding classes and its telemetry,
+# and CPI stacks on the clean job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,10 +52,10 @@ trap cleanup EXIT
   >"$OUT/coordinator.log" 2>&1 &
 pids+=($!)
 for _ in $(seq 50); do
-  curl -fsS "$URL/api/status" >/dev/null 2>&1 && break
+  curl -fsS "$URL/api/metrics" >/dev/null 2>&1 && break
   sleep 0.2
 done
-curl -fsS "$URL/api/status" >/dev/null
+curl -fsS "$URL/api/metrics" >/dev/null
 
 "$OUT/pok-serve" -worker -coordinator "$URL" -name worker-1 \
   -out "$OUT/worker-1" -poll 100ms >"$OUT/worker-1.log" 2>&1 &
@@ -80,7 +83,7 @@ SUBMIT=$!
 # must be requeued when its lease expires and finished by worker 1.
 done_count=0
 for _ in $(seq 150); do
-  done_count=$(curl -fsS "$URL/api/status" 2>/dev/null \
+  done_count=$(curl -fsS "$URL/api/metrics" 2>/dev/null \
     | grep -o '"done": [0-9]*' | head -1 | grep -o '[0-9]*$' || echo 0)
   [ "${done_count:-0}" -ge 1 ] && break
   sleep 0.2
@@ -126,10 +129,22 @@ for series in pok_job_cpistack_cycles_total pok_job_cycles_total \
 done
 echo "fleet-smoke: /metrics scrape carries CPI-stack + throughput series"
 
-# Archive the dashboard and the final fleet snapshot.
+# Archive the dashboard and the final fleet view.
 curl -fsS "$URL/" -o "$OUT/dashboard.html"
-curl -fsS "$URL/api/status" -o "$OUT/status.json"
 curl -fsS "$URL/api/metrics" -o "$OUT/metrics.json"
+
+# One document serves the whole dashboard: findings (deduped classes)
+# and telemetry of the corrupt job (job-1) sit next to each other. Its
+# runs all diverge, and failed runs carry no cycle attribution, so the
+# CPI stacks are required on the clean job (job-2) instead.
+if ! jq -e '(.jobs[0] | .id == "job-1" and .state == "done"
+              and (.deduped | length > 0) and .snapshot.telemetry != null)
+            and (.jobs[1].snapshot.stacks | length > 0)' \
+     "$OUT/metrics.json" >/dev/null; then
+  echo "fleet-smoke: final fleet view lacks the corrupt job's deduped findings and telemetry or the clean job's CPI stacks" >&2
+  exit 1
+fi
+echo "fleet-smoke: final fleet view carries deduped findings, telemetry and CPI stacks"
 
 for f in findings-7.json deduped-7.json; do
   if ! diff -u "$OUT/solo/$f" "$OUT/fleet/$f"; then
